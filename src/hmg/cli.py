@@ -7,7 +7,9 @@ HMG_LOG (error|info|debug); reports go to standard output with six
 significant digits.
 
 Exit codes: 0 success, 1 informational (design-report bound violation),
-2 configuration/usage error, 3 numerical divergence.
+2 configuration/usage error (including a scenario the simulator cannot
+measure), 3 numerical divergence (including a step size at which the
+one-step map is unstable).
 """
 
 from __future__ import annotations
@@ -34,7 +36,14 @@ from .gecm import (
 )
 from .ilc import concatenator_tf, design_omegas, min_cutoff
 from .lti import tf, tf_scale, tf_series
-from .sim import NotSettled, NumericalDivergence, measure, run, write_trace_csv
+from .sim import (
+    NotSettled,
+    NumericalDivergence,
+    SimError,
+    measure,
+    run,
+    write_trace_csv,
+)
 from .subgrid import build_open_loop_tf
 
 log = logging.getLogger("hmg")
@@ -249,12 +258,12 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
-        log.error("%s", exc)
-        return EXIT_CONFIG
     except NumericalDivergence as exc:
         log.error("%s", exc)
         return EXIT_DIVERGED
+    except (ConfigError, SimError) as exc:
+        log.error("%s", exc)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -203,11 +203,14 @@ def _convert(section: str, key: str, raw: str, kind):
             raise ConfigError(f"{section}.{key}: expected true/false, got {raw!r}")
         return raw == "true"
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         raise ConfigError(
             f"{section}.{key}: expected {kind.__name__}, got {raw!r}"
         ) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def parse_config(text: str, check_cutoff: bool = True) -> LoadedRun:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lti import RationalTF, StateSpace, tf
+from .lti import RationalTF, StateSpace, rk4_step_maps, tf
 from .subgrid import AC, DC, DS, DegenerateLimits, SubgridSpec
 
 # Single-precision machine spacing of the target fixed-width hardware
@@ -185,15 +185,9 @@ def ilc_step(
     out.z2 = state.z2 + h * (c_ds - c_ac)
     if cspec is not None:
         # RK4 one-step map of dz/dt = u - w0 z with held input
-        m, n = _filter_maps(cspec.omega_0, h)
-        for name, u in (("z_ac", delta_f_pu), ("z_dc", delta_vdc_pu),
-                        ("z_ds", delta_vds_pu)):
-            setattr(out, name, m * getattr(state, name) + n * u)
+        for name, channel, u in (("z_ac", AC, delta_f_pu),
+                                 ("z_dc", DC, delta_vdc_pu),
+                                 ("z_ds", DS, delta_vds_pu)):
+            m, n = rk4_step_maps(concatenator_ss(cspec, channel), h)
+            setattr(out, name, float(m[0, 0] * getattr(state, name) + n[0] * u))
     return out
-
-
-def _filter_maps(w0: float, h: float) -> tuple[float, float]:
-    a = -w0 * h
-    m = 1.0 + a + a * a / 2.0 + a ** 3 / 6.0 + a ** 4 / 24.0
-    n = h * (1.0 + a / 2.0 + a * a / 6.0 + a ** 3 / 24.0)
-    return m, n

@@ -160,10 +160,6 @@ def tf(num_coeffs, den_coeffs) -> RationalTF:
     return RationalTF(Polynomial(tuple(num_coeffs)), Polynomial(tuple(den_coeffs)))
 
 
-TF_ONE = tf([1.0], [1.0])
-TF_ZERO = tf([0.0], [1.0])
-
-
 def tf_series(a: RationalTF, b: RationalTF) -> RationalTF:
     """Cascade a∘b: numerators and denominators multiply; no cancellation."""
     return RationalTF(poly_mul(a.num, b.num), poly_mul(a.den, b.den))
@@ -177,10 +173,6 @@ def tf_add(a: RationalTF, b: RationalTF) -> RationalTF:
 
 def tf_scale(a: RationalTF, k: float) -> RationalTF:
     return RationalTF(a.num.scaled(k), a.den)
-
-
-def tf_sub(a: RationalTF, b: RationalTF) -> RationalTF:
-    return tf_add(a, tf_scale(b, -1.0))
 
 
 def tf_reciprocal(a: RationalTF) -> RationalTF:

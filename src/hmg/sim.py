@@ -9,6 +9,7 @@ with the algebraic coupling relations evaluated at the step start, and
 advances the composed affine map x+ = S x + T u once per step. This is
 algebraically identical to stepping every block with `lti.step_rk4` under
 held inputs, and fast enough for sub-millisecond steps over long horizons.
+A map whose spectral radius is not below 1 is rejected at assembly.
 
 Coupling sign conventions (converter powers in watts on the global base):
 
@@ -28,8 +29,8 @@ import numpy as np
 
 from .config import Event, HybridConfig, Scenario, Toggles
 from .gecm import build_gecm, solve_nodal
-from .ilc import IlcSpec
-from .lti import rk4_step_maps, tf_to_statespace
+from .ilc import IlcSpec, concatenator_ss
+from .lti import StateSpace, rk4_step_maps, tf_to_statespace
 from .subgrid import AC, DC, DS, build_open_loop_tf, hess_split
 
 __all__ = [
@@ -96,7 +97,7 @@ class SimTrace:
     loads_w: np.ndarray                      # applied loads per sample, (n, 3)
 
     def column(self, name: str) -> np.ndarray:
-        return getattr(self, name)
+        return self.t if name == "t_s" else getattr(self, name)
 
     def deviation_pu(self, kind: str) -> np.ndarray:
         i = KIND_ORDER.index(kind)
@@ -129,6 +130,10 @@ class Metrics:
 # engine assembly
 # ---------------------------------------------------------------------------
 
+# Converter PI integrator dz/dt = e; its RK4 map is exactly M = 1, N = h.
+_INTEGRATOR = StateSpace(A=np.zeros((1, 1)), B=np.ones(1), C=np.ones(1), D=0.0)
+
+
 class _Engine:
     """Composed one-step affine map of the full closed loop.
 
@@ -136,6 +141,10 @@ class _Engine:
                    | concatenator z_ac z_dc z_ds | converter z1 z2
                    | restoration (comp, e_prev) x 3 ].
     Input layout: [P_lac_w, P_ldc_w, P_lds_w, 1].
+
+    Every integrating block is a StateSpace driven by one row over the
+    state and one over the inputs, and advances by its RK4 one-step map;
+    the restoration PI is a discrete update.
     """
 
     def __init__(self, config: HybridConfig, toggles: Toggles, h: float):
@@ -147,20 +156,22 @@ class _Engine:
         blocks = [tf_to_statespace(build_open_loop_tf(s)) for s in specs]
         p_l_tf, _ = hess_split(1.0, specs[2])  # designs y_l when absent
         split_a = tf_to_statespace(p_l_tf)
+        conc = []
+        pi = []
+        if toggles.ilc_enabled:
+            if cspec is not None:
+                conc = [concatenator_ss(cspec, kind) for kind in KIND_ORDER]
+            pi = [_INTEGRATOR, _INTEGRATOR]
 
         idx = {}
         pos = 0
-        for kind, b in zip(KIND_ORDER, blocks):
-            idx[kind] = slice(pos, pos + b.order)
-            pos += b.order
-        idx["split"] = slice(pos, pos + split_a.order)
-        pos += split_a.order
-        if toggles.ilc_enabled:
-            if cspec is not None:
-                idx["conc"] = slice(pos, pos + 3)
-                pos += 3
-            idx["pi"] = slice(pos, pos + 2)
-            pos += 2
+        groups = [(kind, [b]) for kind, b in zip(KIND_ORDER, blocks)]
+        groups += [("split", [split_a]), ("conc", conc), ("pi", pi)]
+        for name, group in groups:
+            if group:
+                width = sum(b.order for b in group)
+                idx[name] = slice(pos, pos + width)
+                pos += width
         if toggles.restoration_enabled:
             idx["rest"] = slice(pos, pos + 6)  # (comp, e_prev) per subgrid
             pos += 6
@@ -176,23 +187,19 @@ class _Engine:
 
         # concatenated deviations c = dev + (w_x - w0) z_c (when enabled)
         conc_rows = dev_rows.copy()
-        if toggles.ilc_enabled and cspec is not None:
-            gains = [cspec.omega_ac - cspec.omega_0,
-                     cspec.omega_dc - cspec.omega_0,
-                     cspec.omega_ds - cspec.omega_0]
-            for i in range(3):
-                conc_rows[i, idx["conc"].start + i] = gains[i]
+        for i, c in enumerate(conc):
+            conc_rows[i, idx["conc"].start + i] = c.C[0]
 
         # converter powers in watts: rows over x, columns over u
         p1_row = np.zeros(self.n)
         p2_row = np.zeros(self.n)
+        e_rows = [conc_rows[2] - conc_rows[1],    # c_ds - c_dc
+                  conc_rows[2] - conc_rows[0]]    # c_ds - c_ac
         if toggles.ilc_enabled:
-            e1_row = conc_rows[2] - conc_rows[1]   # c_ds - c_dc
-            e2_row = conc_rows[2] - conc_rows[0]   # c_ds - c_ac
             z1_pos, z2_pos = idx["pi"].start, idx["pi"].start + 1
-            p1_row = config.ilc.k_tp1 * e1_row
+            p1_row = config.ilc.k_tp1 * e_rows[0]
             p1_row[z1_pos] += config.ilc.k_ti1
-            p2_row = config.ilc.k_tp2 * e2_row
+            p2_row = config.ilc.k_tp2 * e_rows[1]
             p2_row[z2_pos] += config.ilc.k_ti2
             p1_row = p1_row * p_g
             p2_row = p2_row * p_g
@@ -200,39 +207,31 @@ class _Engine:
 
         # subgrid output powers in watts: P_o = C_p x + D_p u
         self.po_c = np.array([-p2_row, -p1_row, p1_row + p2_row])
-        self.po_d = np.array([
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ])
+        self.po_d = np.eye(3, n_u)
+
+        # (block, first state, drive row over x, drive row over u); the
+        # subgrid blocks and the split filter see local per-unit output power
+        no_u = np.zeros(n_u)
+        drives = [(b, idx[kind].start, self.po_c[i] / specs[i].p_max_w,
+                   self.po_d[i] / specs[i].p_max_w)
+                  for i, (kind, b) in enumerate(zip(KIND_ORDER, blocks))]
+        drives.append((split_a, idx["split"].start,
+                       self.po_c[2] / specs[2].p_max_w,
+                       self.po_d[2] / specs[2].p_max_w))
+        drives += [(c, idx["conc"].start + i, dev_rows[i], no_u)
+                   for i, c in enumerate(conc)]
+        drives += [(z, idx["pi"].start + j, e_rows[j], no_u)
+                   for j, z in enumerate(pi)]
 
         # one-step update x+ = S x + T u
         S = np.zeros((self.n, self.n))
         T = np.zeros((self.n, n_u))
-        for i, (kind, b) in enumerate(zip(KIND_ORDER, blocks)):
+        for b, start, row_c, row_d in drives:
             M, N = rk4_step_maps(b, h)
-            S[idx[kind], idx[kind]] = M
-            # block input: local per-unit output power
-            row_c = self.po_c[i] / specs[i].p_max_w
-            row_d = self.po_d[i] / specs[i].p_max_w
-            S[idx[kind], :] += np.outer(N, row_c)
-            T[idx[kind], :] += np.outer(N, row_d)
-        # storage split filter driven by the DS per-unit output power
-        M, N = rk4_step_maps(split_a, h)
-        S[idx["split"], idx["split"]] = M
-        S[idx["split"], :] += np.outer(N, self.po_c[2] / specs[2].p_max_w)
-        T[idx["split"], :] += np.outer(N, self.po_d[2] / specs[2].p_max_w)
-        if toggles.ilc_enabled:
-            if cspec is not None:
-                m, nmap = _scalar_rk4(cspec.omega_0, h)
-                for i in range(3):
-                    row = idx["conc"].start + i
-                    S[row, row] = m
-                    S[row, :] += nmap * dev_rows[i]
-            S[idx["pi"].start, :] += h * (conc_rows[2] - conc_rows[1])
-            S[idx["pi"].start, idx["pi"].start] += 1.0
-            S[idx["pi"].start + 1, :] += h * (conc_rows[2] - conc_rows[0])
-            S[idx["pi"].start + 1, idx["pi"].start + 1] += 1.0
+            block = slice(start, start + b.order)
+            S[block, block] = M
+            S[block, :] += np.outer(N, row_c)
+            T[block, :] += np.outer(N, row_d)
         if toggles.restoration_enabled:
             for i, spec in enumerate(specs):
                 comp_pos = idx["rest"].start + 2 * i
@@ -264,22 +263,41 @@ class _Engine:
         return X[:, [start, start + 2, start + 4]]
 
 
-def _scalar_rk4(w0: float, h: float) -> tuple[float, float]:
-    a = -w0 * h
-    m = 1.0 + a + a * a / 2.0 + a ** 3 / 6.0 + a ** 4 / 24.0
-    n = h * (1.0 + a / 2.0 + a * a / 6.0 + a ** 3 / 24.0)
-    return m, n
-
-
-def _load_profile(scenario: Scenario, n_rec: int, every: int, h: float) -> np.ndarray:
-    """Applied loads at each recorded sample, shape (n_rec, 3)."""
-    loads = np.tile(np.asarray(scenario.initial_loads_w, dtype=float),
-                    (n_rec, 1))
+def _schedule(scenario: Scenario) -> list[tuple[int, np.ndarray]]:
+    """Load segments (first step, loads in watts): a load step at time t
+    acts from step ceil(t/h) on."""
+    h = scenario.step_s
+    current = np.array(scenario.initial_loads_w, dtype=float)
+    segments = [(0, current)]
     for e in scenario.events:
-        k_start = int(np.ceil(e.time_s / h - 1e-9))
-        rec_start = (k_start + every - 1) // every
-        loads[rec_start:, KIND_ORDER.index(e.kind)] += e.delta_w
-    return loads
+        current = current.copy()
+        current[KIND_ORDER.index(e.kind)] += e.delta_w
+        segments.append((int(np.ceil(e.time_s / h - 1e-9)), current))
+    return segments
+
+
+def _propagate(S: np.ndarray, segments, x0: np.ndarray, n_steps: int,
+               every: int) -> np.ndarray:
+    """Iterate x+ = S x + d over n_steps steps from x0.
+
+    Each (first step, d) segment holds its drive d from its first step until
+    the next segment's. Returns the states at steps 0, every, 2*every, ...,
+    shape (n_steps // every + 1, len(x0)).
+    """
+    X = np.empty((n_steps // every + 1, len(x0)))
+    x = x0
+    k = 0
+    ends = [first for first, _ in segments[1:]] + [n_steps]
+    for (_, d), k_end in zip(segments, ends):
+        k_end = min(k_end, n_steps)
+        while k < k_end:
+            if k % every == 0:
+                X[k // every] = x
+            x = S @ x + d
+            k += 1
+    if k % every == 0:
+        X[k // every] = x
+    return X
 
 
 def run(scenario: Scenario, config: HybridConfig) -> SimTrace:
@@ -292,62 +310,38 @@ def run(scenario: Scenario, config: HybridConfig) -> SimTrace:
     Raises
     ------
     NumericalDivergence
-        When any per-unit deviation exceeds DIVERGENCE_LIMIT.
+        When the one-step map is not a contraction at the configured step
+        (checked at assembly, before any propagation), or when any per-unit
+        deviation reaches DIVERGENCE_LIMIT.
     """
     scenario.validate()
     config.validate()
     h = scenario.step_s
     every = scenario.output_every
     eng = _Engine(config, scenario.toggles, h)
-    n_steps = int(round(scenario.horizon_s / h))
-    n_rec = n_steps // every + 1
-
-    # event schedule as per-step segments
-    boundaries = []
-    current = np.array(scenario.initial_loads_w, dtype=float)
-    boundaries.append((0, current.copy()))
-    for e in scenario.events:
-        k = int(np.ceil(e.time_s / h - 1e-9))
-        current = current.copy()
-        current[KIND_ORDER.index(e.kind)] += e.delta_w
-        boundaries.append((min(k, n_steps), current))
-
-    X = np.empty((n_rec, eng.n))
-    x = eng.equilibrium(scenario.initial_loads_w)
-    S = eng.S
-    rec = 0
-    k = 0
-    # overflow during an aborting run is expected noise; the checks raise
-    with np.errstate(invalid="ignore", over="ignore"):
-        for seg in range(len(boundaries)):
-            k_end = boundaries[seg + 1][0] if seg + 1 < len(boundaries) else n_steps
-            u = np.append(boundaries[seg][1], 1.0)
-            tu = eng.T @ u
-            while k < k_end:
-                if k % every == 0:
-                    X[rec] = x
-                    rec += 1
-                x = S @ x + tu
-                k += 1
-                if k % (50 * every) == 0 and not np.all(
-                    np.abs(eng.dev_rows @ x) < DIVERGENCE_LIMIT
-                ):
-                    raise NumericalDivergence(
-                        f"per-unit deviation beyond {DIVERGENCE_LIMIT} "
-                        f"at t={k * h:.4f} s"
-                    )
-        if k % every == 0 and rec < n_rec:
-            X[rec] = x
-            rec += 1
-    assert rec == n_rec
-
-    t = np.arange(n_rec) * (h * every)
-    loads = _load_profile(scenario, n_rec, every, h)
-    devs = X @ eng.dev_rows.T                     # (n, 3)
-    if np.any(np.abs(devs) >= DIVERGENCE_LIMIT):
-        bad = t[np.any(np.abs(devs) >= DIVERGENCE_LIMIT, axis=1)][0]
+    rho = float(np.abs(np.linalg.eigvals(eng.S)).max())
+    if not rho < 1.0:
         raise NumericalDivergence(
-            f"per-unit deviation beyond {DIVERGENCE_LIMIT} at t={bad:.4f} s"
+            f"one-step map unstable at step {h:g} s: spectral radius "
+            f"{rho:.7g} >= 1"
+        )
+    n_steps = int(round(scenario.horizon_s / h))
+    segments = _schedule(scenario)
+    drives = [(k, eng.T @ np.append(seg_loads, 1.0)) for k, seg_loads in segments]
+    X = _propagate(eng.S, drives, eng.equilibrium(scenario.initial_loads_w),
+                   n_steps, every)
+
+    t = np.arange(len(X)) * (h * every)
+    # each sample records the loads acting over the step it starts
+    seg_of = np.searchsorted([k for k, _ in segments], np.arange(len(X)) * every,
+                             side="right") - 1
+    loads = np.array([seg_loads for _, seg_loads in segments])[seg_of]
+    devs = X @ eng.dev_rows.T                     # (n, 3)
+    bad = ~np.all(np.abs(devs) < DIVERGENCE_LIMIT, axis=1)
+    if bad.any():
+        raise NumericalDivergence(
+            f"per-unit deviation beyond {DIVERGENCE_LIMIT} at "
+            f"t={t[bad][0]:.4f} s"
         )
     comps = eng.comp_pu(X)
     bases = tuple(s.x_max for s in config.specs)
@@ -464,9 +458,20 @@ def compare_with_gecm(
     """
     if not scenario.events:
         raise SimError("cross-validation needs at least one event")
+    h = scenario.step_s
+    every = scenario.output_every
+    dt = h * every
+    t0 = scenario.events[0].time_s
+    i0 = int(round(t0 / dt))
+    n = int(round(window_s / dt))
+    missing = (i0 + n - int(round(scenario.horizon_s / h)) // every) * dt
+    if missing > 0:
+        raise SimError(
+            f"cross-check window of {window_s:g} s after t={t0:g} s ends "
+            f"{missing:g} s past the {scenario.horizon_s:g} s horizon"
+        )
     trace = run(scenario, config)
     model_cfg = config if gecm_config is None else gecm_config
-    t0 = scenario.events[0].time_s
     steps = [e for e in scenario.events if abs(e.time_s - t0) < 1e-12]
     loads = [0.0, 0.0, 0.0]
     for e in steps:
@@ -481,11 +486,6 @@ def compare_with_gecm(
     sys_ = build_gecm(*model_cfg.specs, ilc, cspec, tuple(loads))
     sol = solve_nodal(sys_)
 
-    h = scenario.step_s
-    every = scenario.output_every
-    n = int(round(window_s / (h * every)))
-    dt = trace.t[1] - trace.t[0]
-    i0 = int(round(t0 / dt))
     sim_devs = {}
     for kind in KIND_ORDER:
         dev = trace.deviation_pu(kind)[i0:i0 + n + 1]
@@ -500,15 +500,8 @@ def compare_with_gecm(
         sim_dev = sim_devs[kind]
         ss = sol.realize_channel(kind)
         M, N = rk4_step_maps(ss, h)
-        x = np.zeros(ss.order)
-        model = np.empty(n + 1)
-        model[0] = ss.D
-        idx = 1
-        for k in range(1, n * every + 1):
-            x = M @ x + N
-            if k % every == 0:
-                model[idx] = float(ss.C @ x + ss.D)
-                idx += 1
+        model = _propagate(M, [(0, N)], np.zeros(ss.order), n * every,
+                           every) @ ss.C + ss.D
         err = sim_dev - model
         denom = max(float(np.sqrt(np.mean(sim_dev ** 2))), rms_floor, 1e-30)
         frac = float(np.sqrt(np.mean(err ** 2))) / denom

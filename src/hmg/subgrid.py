@@ -176,42 +176,17 @@ def governor_turbine_tf(spec: SubgridSpec) -> RationalTF:
     return tf([1.0, spec.f_hp * spec.t_rh], den.coeffs)
 
 
-def _swing_open_loop(spec: SubgridSpec) -> RationalTF:
-    # -R / ((2 H s + D) R + T(s)Y(s)), all on the subgrid's own power base
-    r = spec.droop_r
-    ty = governor_turbine_tf(spec)
-    swing = tf([spec.damping_d * r, 2.0 * spec.inertia_h * r], [1.0])
-    return tf_scale(tf_reciprocal(tf_add(swing, ty)), -r)
-
-
-def build_ac_open_loop_tf(spec: SubgridSpec) -> RationalTF:
-    """Deviation-per-output-power transfer function of the AC subgrid."""
-    if spec.droop_r is None:
-        spec = design_droop(spec)
-    return _swing_open_loop(spec)
-
-
-def build_dc_open_loop_tf(spec: SubgridSpec) -> RationalTF:
-    """Deviation-per-output-power transfer function of the DC subgrid."""
-    if spec.droop_r is None:
-        spec = design_droop(spec)
-    return _swing_open_loop(spec)
-
-
-def build_ds_open_loop_tf(spec: SubgridSpec) -> RationalTF:
-    """Deviation-per-output-power transfer function of the DS subgrid:
-    -1/(2*y_h*s + y_l)."""
-    if spec.y_l is None:
-        spec = design_droop(spec)
-    return tf([-1.0], [spec.y_l, 2.0 * spec.y_h])
-
-
 def build_open_loop_tf(spec: SubgridSpec) -> RationalTF:
-    return {
-        AC: build_ac_open_loop_tf,
-        DC: build_dc_open_loop_tf,
-        DS: build_ds_open_loop_tf,
-    }[spec.kind](spec)
+    """Deviation-per-output-power transfer function of one subgrid, on its
+    own power base: -R/((2 H s + D) R + T(s)Y(s)) for AC/DC and
+    -1/(2 y_h s + y_l) for DS. A missing droop is designed first."""
+    if (spec.y_l if spec.kind == DS else spec.droop_r) is None:
+        spec = design_droop(spec)
+    if spec.kind == DS:
+        return tf([-1.0], [spec.y_l, 2.0 * spec.y_h])
+    r = spec.droop_r
+    swing = tf([spec.damping_d * r, 2.0 * spec.inertia_h * r], [1.0])
+    return tf_scale(tf_reciprocal(tf_add(swing, governor_turbine_tf(spec))), -r)
 
 
 def steady_droop_gain_pu(spec: SubgridSpec) -> float:

@@ -71,6 +71,25 @@ def test_bad_number_and_bool(table1_text):
                                          "restoration = yes"))
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("step = 1e-4", "step = nan", "sim.step"),
+    ("p_max = 20e3        # W", "p_max = inf        # W", "ac.p_max"),
+    ("inertia = 3", "inertia = -inf", "dc.inertia"),
+    ("e1 = 1.0 dc 14e3", "e1 = nan dc 14e3", "events.e1"),
+    ("e2 = 1.0 ac 12e3", "e2 = 1.0 ac inf", "events.e2"),
+])
+def test_non_finite_numbers_rejected(tmp_path, table1_text, caplog, old, new,
+                                     key):
+    text = table1_text.replace(old, new, 1)
+    assert text != table1_text
+    with pytest.raises(ConfigError, match=rf"{key}: expected a finite number"):
+        parse_config(text)
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["predict", "--config", str(path)]) == 2
+    assert key in caplog.text
+
+
 def test_zero_horizon_rejected(table1_text):
     with pytest.raises(ConfigError, match="horizon"):
         parse_config(table1_text.replace("horizon = 40", "horizon = 0"))
@@ -179,6 +198,16 @@ def test_cli_simulate_divergence_exit3(tmp_path, table1_text, capsys):
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
     capsys.readouterr()
     assert code == 3
+
+
+def test_cli_simulate_off_grid_event_exit2(tmp_path, table1_text, caplog):
+    # every event at 1.005 s falls between two 10 ms trace samples
+    cfg = _short_config(tmp_path, table1_text,
+                        extra=[(f"e{i} = 1.0 ", f"e{i} = 1.005 ")
+                               for i in (1, 2, 3)])
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "not on the trace grid" in caplog.text
 
 
 def test_cli_bode_targets(tmp_path, capsys):

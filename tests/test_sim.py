@@ -102,6 +102,32 @@ def test_divergence_aborts():
         run(sc, cfg)
 
 
+def test_unstable_step_rejected_at_assembly(cfg, monkeypatch):
+    # at 0.5 ms the fastest closed-loop mode leaves the RK4 stability region
+    import hmg.sim
+
+    def no_propagation(*args):
+        raise AssertionError("propagated an unstable map")
+
+    monkeypatch.setattr(hmg.sim, "_propagate", no_propagation)
+    sc = Scenario(horizon_s=40.0, step_s=5e-4, events=REF_EVENTS,
+                  output_every=20)
+    with pytest.raises(NumericalDivergence, match="spectral radius 1.07"):
+        run(sc, cfg)
+
+
+def test_divergence_check_catches_non_finite_states(cfg, monkeypatch):
+    import hmg.sim
+
+    def nan_states(S, segments, x0, n_steps, every):
+        return np.full((n_steps // every + 1, len(x0)), np.nan)
+
+    monkeypatch.setattr(hmg.sim, "_propagate", nan_states)
+    sc = Scenario(horizon_s=1.0, step_s=1e-4, events=REF_EVENTS)
+    with pytest.raises(NumericalDivergence, match="t=0.0000 s"):
+        run(sc, cfg)
+
+
 def test_composed_engine_matches_per_block_stepping(cfg):
     # the precomputed affine map must agree with literally stepping every
     # block under held inputs and coupling the outputs once per step
@@ -161,6 +187,11 @@ def test_composed_engine_matches_per_block_stepping(cfg):
     comps = x[[start, start + 2, start + 4]]
     assert comps == pytest.approx([r.delta_comp_pu for r in rest],
                                   rel=1e-9, abs=1e-15)
+
+
+def test_time_column_by_name(cfg):
+    trace = run(Scenario(horizon_s=1.0, step_s=2e-4, output_every=50), cfg)
+    assert trace.column(TRACE_COLUMNS[0]) is trace.t
 
 
 def test_run_is_deterministic(cfg):
@@ -351,6 +382,13 @@ def test_gecm_matches_decoupled_run(cfg):
                   toggles=Toggles(ilc_enabled=False))
     report = compare_with_gecm(sc, cfg)
     assert max(report.rms_fraction.values()) < 0.005
+
+
+def test_gecm_window_past_horizon_rejected(cfg):
+    # the 10 s window after the 1 s event needs an 11 s horizon
+    sc = Scenario(horizon_s=10.0, step_s=1e-4, events=REF_EVENTS)
+    with pytest.raises(SimError, match="1 s past the 10 s horizon"):
+        compare_with_gecm(sc, cfg)
 
 
 def test_gecm_flags_mismatched_configs(cfg):

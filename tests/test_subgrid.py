@@ -17,9 +17,7 @@ from hmg.subgrid import (
     NegativeDroop,
     SubgridSpec,
     SubgridState,
-    build_ac_open_loop_tf,
-    build_dc_open_loop_tf,
-    build_ds_open_loop_tf,
+    build_open_loop_tf,
     compute_lc,
     compute_rli,
     design_droop,
@@ -91,7 +89,7 @@ def test_design_droop_negative():
 # ---------------------------------------------------------------------------
 
 def test_ac_branch_rate_and_steady_gain(ac_spec):
-    n_ac0 = build_ac_open_loop_tf(ac_spec)
+    n_ac0 = build_open_loop_tf(ac_spec)
     assert ivt_rate_limit(n_ac0) == pytest.approx(-0.25, rel=1e-12)
     steady = fvt_limit(step_input_tf(n_ac0))
     assert steady == pytest.approx(-2.0 / 51.0, rel=1e-10)
@@ -100,11 +98,11 @@ def test_ac_branch_rate_and_steady_gain(ac_spec):
 
 def test_ac_branch_infinite_inertia_limit():
     big = make_ac(inertia_h=1e12)
-    assert abs(ivt_rate_limit(build_ac_open_loop_tf(big))) < 1e-12
+    assert abs(ivt_rate_limit(build_open_loop_tf(big))) < 1e-12
 
 
 def test_dc_branch_rate_and_steady_gain(dc_spec):
-    n_dc0 = build_dc_open_loop_tf(dc_spec)
+    n_dc0 = build_open_loop_tf(dc_spec)
     assert ivt_rate_limit(n_dc0) == pytest.approx(-1.0 / 6.0, rel=1e-12)
     assert fvt_limit(step_input_tf(n_dc0)) == pytest.approx(-10.0 / 380.0, rel=1e-10)
 
@@ -114,17 +112,17 @@ def test_dc_branch_damping_rescale_keeps_steady_gain(dc_spec):
     from dataclasses import replace
 
     doubled = design_droop(replace(dc_spec, damping_d=2.0, droop_r=None))
-    g0 = fvt_limit(step_input_tf(build_dc_open_loop_tf(dc_spec)))
-    g1 = fvt_limit(step_input_tf(build_dc_open_loop_tf(doubled)))
+    g0 = fvt_limit(step_input_tf(build_open_loop_tf(dc_spec)))
+    g1 = fvt_limit(step_input_tf(build_open_loop_tf(doubled)))
     assert g1 == pytest.approx(g0, rel=1e-10)
 
 
 def test_ds_branch(ds_spec):
-    n_ds0 = build_ds_open_loop_tf(ds_spec)
+    n_ds0 = build_open_loop_tf(ds_spec)
     assert ivt_rate_limit(n_ds0) == pytest.approx(-1.0 / 15.0, rel=1e-12)
     assert fvt_limit(step_input_tf(n_ds0)) == pytest.approx(-1.0 / 35.5, rel=1e-10)
     huge = make_ds(y_h=1e12)
-    assert abs(ivt_rate_limit(build_ds_open_loop_tf(huge))) < 1e-12
+    assert abs(ivt_rate_limit(build_open_loop_tf(huge))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +171,7 @@ def test_restoration_integrator_arithmetic():
 
 def _closed_loop_single(spec, load_pu, horizon, h=1e-3, record_every=10):
     """Single subgrid + restoration, no converter coupling."""
-    block = tf_to_statespace(
-        {
-            "ac": build_ac_open_loop_tf,
-            "dc": build_dc_open_loop_tf,
-            "ds": build_ds_open_loop_tf,
-        }[spec.kind](spec)
-    )
+    block = tf_to_statespace(build_open_loop_tf(spec))
     M, N = rk4_step_maps(block, h)
     x = np.zeros(block.order)
     state = SubgridState(delta_comp_pu=spec.x_nominal_pu - 1.0)
@@ -215,16 +207,12 @@ def test_restoration_neutral_during_transient(ac_spec):
 def test_initial_rate_matches_ivt(ac_spec, dc_spec, ds_spec):
     # first integration step after the event reproduces the IVT slope
     h = 1e-4
-    for spec, build in (
-        (ac_spec, build_ac_open_loop_tf),
-        (dc_spec, build_dc_open_loop_tf),
-        (ds_spec, build_ds_open_loop_tf),
-    ):
-        block = tf_to_statespace(build(spec))
+    for spec in (ac_spec, dc_spec, ds_spec):
+        block = tf_to_statespace(build_open_loop_tf(spec))
         M, N = rk4_step_maps(block, h)
         x = N * 0.6
         rate = float(block.C @ x) / h
-        want = ivt_rate_limit(build(spec)) * 0.6
+        want = ivt_rate_limit(build_open_loop_tf(spec)) * 0.6
         assert rate == pytest.approx(want, rel=0.02)
 
 
