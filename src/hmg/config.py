@@ -5,6 +5,9 @@ The on-disk format is flat sectioned key-value text ([section] headers,
 audited line by line against a parameter table. Numbers are SI; booleans
 are ``true``/``false``. ``droop`` (AC/DC) and ``y_l`` (storage) may be
 omitted, in which case they are designed from the frequency/voltage limits.
+``_SCHEMA`` is the only description of the format: both the parser and the
+serializer read every key, the field it sets and whether it is required
+from it. A key the file omits takes its field's dataclass default.
 
 Parsing is strict: unknown sections or keys and missing required keys are
 hard errors naming the offender; post-parse validation re-runs the droop
@@ -14,7 +17,6 @@ design identities and the concatenator resolution bound.
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -23,22 +25,11 @@ from .subgrid import (
     AC,
     DC,
     DS,
-    NegativeDroop,
+    KINDS,
     SubgridError,
     SubgridSpec,
     design_droop,
 )
-
-DEFAULT_OMEGA_0 = 1e-3 * math.pi
-
-# Restoration PI defaults; slow against the inertia response on purpose.
-DEFAULT_K_P = 0.005
-DEFAULT_K_I = 0.05
-
-# Converter power-loop PI defaults; fast against every subgrid mode so the
-# measured post-disturbance rates reflect the pooled inertia.
-DEFAULT_K_TP = 4000.0
-DEFAULT_K_TI = 400e3
 
 
 class ConfigError(Exception):
@@ -60,34 +51,6 @@ class Event:
 
 
 @dataclass(frozen=True)
-class Scenario:
-    """Load schedule and run settings for one simulation."""
-
-    horizon_s: float
-    step_s: float = 1e-4
-    events: tuple[Event, ...] = ()
-    initial_loads_w: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    toggles: Toggles = field(default_factory=Toggles)
-    output_every: int = 100
-
-    def validate(self) -> None:
-        if self.step_s <= 0.0:
-            raise ConfigError("step must be > 0")
-        if self.horizon_s <= self.step_s:
-            raise ConfigError("horizon must exceed the step")
-        if self.output_every < 1:
-            raise ConfigError("output_every must be >= 1")
-        times = [e.time_s for e in self.events]
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ConfigError("events must be sorted by time")
-        if any(t < 0.0 or t > self.horizon_s for t in times):
-            raise ConfigError("event times must lie within [0, horizon]")
-        for e in self.events:
-            if e.kind not in (AC, DC, DS):
-                raise ConfigError(f"unknown subgrid {e.kind!r} in event")
-
-
-@dataclass(frozen=True)
 class HybridConfig:
     """Three subgrid specs plus converter and simulation settings."""
 
@@ -95,7 +58,7 @@ class HybridConfig:
     dc: SubgridSpec
     ds: SubgridSpec
     ilc: IlcSpec
-    omega_0: float = DEFAULT_OMEGA_0
+    omega_0: float = 1e-3 * math.pi
     step_s: float = 1e-4
     horizon_s: float = 40.0
     output_every: int = 100
@@ -134,6 +97,51 @@ class HybridConfig:
 
 
 @dataclass(frozen=True)
+class Scenario:
+    """Load schedule and run settings for one simulation."""
+
+    horizon_s: float
+    step_s: float = HybridConfig.step_s
+    events: tuple[Event, ...] = ()
+    initial_loads_w: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    toggles: Toggles = field(default_factory=Toggles)
+    output_every: int = HybridConfig.output_every
+
+    def validate(self) -> None:
+        if self.step_s <= 0.0:
+            raise ConfigError("step must be > 0")
+        if self.horizon_s <= self.step_s:
+            raise ConfigError("horizon must exceed the step")
+        if self.output_every < 1:
+            raise ConfigError("output_every must be >= 1")
+        times = [e.time_s for e in self.events]
+        if any(b < a for a, b in zip(times, times[1:])):
+            raise ConfigError("events must be sorted by time")
+        if any(t < 0.0 or t > self.horizon_s for t in times):
+            raise ConfigError("event times must lie within [0, horizon]")
+        last = int(round(self.horizon_s / self.step_s))
+        for e in self.events:
+            if e.kind not in (AC, DC, DS):
+                raise ConfigError(f"unknown subgrid {e.kind!r} in event")
+            if self.step_of(e.time_s) > last:
+                raise ConfigError(f"event at t={e.time_s:.10g} s acts after the "
+                                  f"last step at t={last * self.step_s:.10g} s")
+
+    def step_of(self, time_s: float) -> int:
+        """Step a load change at time_s acts from: ceil(t/h), less round-off."""
+        return math.ceil(time_s / self.step_s - 1e-9)
+
+    def first_group_w(self) -> tuple[float, float, float]:
+        """Per-subgrid loads (AC, DC, DS) of the events that act from the
+        first event's step: the first disturbance."""
+        loads = [0.0, 0.0, 0.0]
+        for e in self.events:
+            if self.step_of(e.time_s) == self.step_of(self.events[0].time_s):
+                loads[KINDS.index(e.kind)] += e.delta_w
+        return tuple(loads)
+
+
+@dataclass(frozen=True)
 class LoadedRun:
     """A parsed configuration file: system parameters plus the scenario."""
 
@@ -158,42 +166,55 @@ class LoadedRun:
         return sum(e.delta_w for e in self.events)
 
     def first_step_w(self) -> float:
-        """Total size of the first simultaneous disturbance group."""
-        if not self.events:
-            return 0.0
-        t0 = self.events[0].time_s
-        return sum(e.delta_w for e in self.events if e.time_s == t0)
+        """Total size of the first load-step group (Scenario.first_group_w)."""
+        return sum(self.scenario().first_group_w())
 
 
-# section -> key -> (required, kind); kind in {float, int, bool}
-_SWING_KEYS = {
-    "p_max": (True, float), "inertia": (True, float), "damping": (True, float),
-    "droop": (False, float), "t_g": (True, float), "f_hp": (True, float),
-    "t_ch": (True, float), "t_rh": (True, float),
-    "k_p": (False, float), "k_i": (False, float),
-}
+_SWING_ROWS = (("inertia", "inertia_h", True), ("damping", "damping_d", True),
+               ("droop", "droop_r", False), ("t_g", "t_g", True),
+               ("f_hp", "f_hp", True), ("t_ch", "t_ch", True),
+               ("t_rh", "t_rh", True))
+_GAIN_ROWS = (("k_p", "k_p", False), ("k_i", "k_i", False))
+_VOLTAGE_ROWS = (("v_max", "x_max", True), ("v_min", "x_min", True),
+                 ("v_nominal", "x_nominal", True), ("p_max", "p_max_w", True))
+
+# The file format: per section, (key, field, required) rows in file order.
+# In [ac], [dc] and [ds] a field is one of that subgrid's SubgridSpec fields;
+# elsewhere it is "owner.name": an IlcSpec field (ilc), a HybridConfig field
+# (config), a Toggles field (toggles) or one subgrid's initial load (load).
 _SCHEMA = {
-    "ac": {"f_max": (True, float), "f_min": (True, float),
-           "f_nominal": (True, float), **_SWING_KEYS},
-    "dc": {"v_max": (True, float), "v_min": (True, float),
-           "v_nominal": (True, float), **_SWING_KEYS},
-    "ds": {"v_max": (True, float), "v_min": (True, float),
-           "v_nominal": (True, float), "p_max": (True, float),
-           "y_h": (True, float), "y_l": (False, float),
-           "k_p": (False, float), "k_i": (False, float)},
-    "ilc": {"omega_0": (False, float),
-            "k_tp1": (False, float), "k_ti1": (False, float),
-            "k_tp2": (False, float), "k_ti2": (False, float),
-            "sampling_period": (False, float),
-            "safety_factor": (False, float)},
-    "sim": {"step": (False, float), "horizon": (False, float),
-            "output_every": (False, int),
-            "initial_load_ac": (False, float),
-            "initial_load_dc": (False, float),
-            "initial_load_ds": (False, float)},
-    "toggles": {"concatenator": (False, bool), "restoration": (False, bool),
-                "ilc": (False, bool)},
+    "ac": (("f_max", "x_max", True), ("f_min", "x_min", True),
+           ("f_nominal", "x_nominal", True), ("p_max", "p_max_w", True),
+           *_SWING_ROWS, *_GAIN_ROWS),
+    "dc": (*_VOLTAGE_ROWS, *_SWING_ROWS, *_GAIN_ROWS),
+    "ds": (*_VOLTAGE_ROWS, ("y_h", "y_h", True), ("y_l", "y_l", False),
+           *_GAIN_ROWS),
+    "ilc": (("omega_0", "config.omega_0", False),
+            ("k_tp1", "ilc.k_tp1", False), ("k_ti1", "ilc.k_ti1", False),
+            ("k_tp2", "ilc.k_tp2", False), ("k_ti2", "ilc.k_ti2", False),
+            ("sampling_period", "ilc.sampling_period", False),
+            ("safety_factor", "ilc.safety_factor_m", False)),
+    "sim": (("step", "config.step_s", False),
+            ("horizon", "config.horizon_s", False),
+            ("output_every", "config.output_every", False),
+            ("initial_load_ac", "load.ac", False),
+            ("initial_load_dc", "load.dc", False),
+            ("initial_load_ds", "load.ds", False)),
+    "toggles": (("concatenator", "toggles.concatenator_enabled", False),
+                ("restoration", "toggles.restoration_enabled", False),
+                ("ilc", "toggles.ilc_enabled", False)),
 }
+_OWNER_TYPES = {AC: SubgridSpec, DC: SubgridSpec, DS: SubgridSpec,
+                "ilc": IlcSpec, "config": HybridConfig, "toggles": Toggles}
+
+
+def _field(section: str, path: str) -> tuple[str, str, type]:
+    """(owner, name, type from the owner's annotation) of a schema field."""
+    owner, _, name = path.rpartition(".")
+    owner = owner or section
+    cls = _OWNER_TYPES.get(owner)
+    annotation = cls.__dataclass_fields__[name].type if cls else "float"
+    return owner, name, {"bool": bool, "int": int}.get(annotation, float)
 
 
 def _convert(section: str, key: str, raw: str, kind):
@@ -213,6 +234,13 @@ def _convert(section: str, key: str, raw: str, kind):
     return value
 
 
+def _subgrid(kind: str, fields: dict) -> SubgridSpec:
+    """The subgrid's spec, its droop designed from the limits if omitted."""
+    spec = SubgridSpec(kind=kind, **fields)
+    given = spec.y_l if kind == DS else spec.droop_r
+    return spec if given is not None else design_droop(spec)
+
+
 def parse_config(text: str, check_cutoff: bool = True) -> LoadedRun:
     """Parse and validate the sectioned key-value format.
 
@@ -229,82 +257,31 @@ def parse_config(text: str, check_cutoff: bool = True) -> LoadedRun:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 
-    values: dict[str, dict] = {}
+    values = {owner: {} for owner in (*_OWNER_TYPES, "load")}
     for section in parser.sections():
         if section == "events":
             continue
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
-        values[section] = {}
+        fields = {key: path for key, path, _ in _SCHEMA[section]}
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in fields:
                 raise ConfigError(f"unknown key {section}.{key}")
-            values[section][key] = _convert(section, key, raw, _SCHEMA[section][key][1])
-    for section, keys in _SCHEMA.items():
-        if section in ("ilc", "sim", "toggles") and section not in values:
-            values[section] = {}
-            continue
-        if section not in values:
-            raise ConfigError(f"missing section [{section}]")
-        for key, (required, _) in keys.items():
-            if required and key not in values[section]:
+            owner, name, kind = _field(section, fields[key])
+            values[owner][name] = _convert(section, key, raw, kind)
+    for section, rows in _SCHEMA.items():
+        for key, _, required in rows:
+            if required and not parser.has_option(section, key):
+                if not parser.has_section(section):
+                    raise ConfigError(f"missing section [{section}]")
                 raise ConfigError(f"missing key {section}.{key}")
 
-    def swing_spec(kind, sec, x_prefix):
-        v = values[sec]
-        spec = SubgridSpec(
-            kind=kind,
-            x_max=v[f"{x_prefix}_max"], x_min=v[f"{x_prefix}_min"],
-            x_nominal=v[f"{x_prefix}_nominal"], p_max_w=v["p_max"],
-            inertia_h=v["inertia"], damping_d=v["damping"],
-            droop_r=v.get("droop"),
-            t_g=v["t_g"], f_hp=v["f_hp"], t_ch=v["t_ch"], t_rh=v["t_rh"],
-            k_p=v.get("k_p", DEFAULT_K_P), k_i=v.get("k_i", DEFAULT_K_I),
-        )
-        return spec if spec.droop_r is not None else design_droop(spec)
-
     try:
-        ac = swing_spec(AC, "ac", "f")
-        dc = swing_spec(DC, "dc", "v")
-        v = values["ds"]
-        ds = SubgridSpec(
-            kind=DS, x_max=v["v_max"], x_min=v["v_min"],
-            x_nominal=v["v_nominal"], p_max_w=v["p_max"],
-            y_h=v["y_h"], y_l=v.get("y_l"),
-            k_p=v.get("k_p", DEFAULT_K_P), k_i=v.get("k_i", DEFAULT_K_I),
-        )
-        if ds.y_l is None:
-            ds = design_droop(ds)
-    except (NegativeDroop, SubgridError) as exc:
-        raise ConfigError(str(exc)) from None
-
-    vi = values["ilc"]
-    ilc = IlcSpec(
-        k_tp1=vi.get("k_tp1", DEFAULT_K_TP), k_ti1=vi.get("k_ti1", DEFAULT_K_TI),
-        k_tp2=vi.get("k_tp2", DEFAULT_K_TP), k_ti2=vi.get("k_ti2", DEFAULT_K_TI),
-        sampling_period=vi.get("sampling_period", 50e-6),
-        safety_factor_m=vi.get("safety_factor", 1.3),
-    )
-    vs = values["sim"]
-    cfg = HybridConfig(
-        ac=ac, dc=dc, ds=ds, ilc=ilc,
-        omega_0=vi.get("omega_0", DEFAULT_OMEGA_0),
-        step_s=vs.get("step", 1e-4), horizon_s=vs.get("horizon", 40.0),
-        output_every=vs.get("output_every", 100),
-    )
-    try:
+        cfg = HybridConfig(*[_subgrid(kind, values[kind]) for kind in KINDS],
+                           ilc=IlcSpec(**values["ilc"]), **values["config"])
         cfg.validate(check_cutoff=check_cutoff)
-    except ConfigError:
-        raise
     except (SubgridError, IlcError) as exc:
         raise ConfigError(str(exc)) from None
-
-    vt = values["toggles"]
-    toggles = Toggles(
-        concatenator_enabled=vt.get("concatenator", True),
-        restoration_enabled=vt.get("restoration", True),
-        ilc_enabled=vt.get("ilc", True),
-    )
 
     events = []
     if parser.has_section("events"):
@@ -322,10 +299,10 @@ def parse_config(text: str, check_cutoff: bool = True) -> LoadedRun:
             events.append(Event(time_s=time_s, kind=kind, delta_w=delta))
     events.sort(key=lambda e: e.time_s)
 
-    loads = (vs.get("initial_load_ac", 0.0), vs.get("initial_load_dc", 0.0),
-             vs.get("initial_load_ds", 0.0))
-    run = LoadedRun(config=cfg, toggles=toggles, events=tuple(events),
-                    initial_loads_w=loads)
+    loads = tuple(values["load"].get(kind, default)
+                  for kind, default in zip(KINDS, Scenario.initial_loads_w))
+    run = LoadedRun(config=cfg, toggles=Toggles(**values["toggles"]),
+                    events=tuple(events), initial_loads_w=loads)
     run.scenario()  # validates event ordering against the horizon
     return run
 
@@ -342,53 +319,27 @@ def load_config(path, check_cutoff: bool = True) -> LoadedRun:
 def serialize_config(run: LoadedRun) -> str:
     """Emit the parsed configuration; parsing it back gives equal values."""
     cfg = run.config
-    out = io.StringIO()
-
-    def num(x):
-        return repr(float(x))
-
-    def swing(sec, spec, prefix):
-        out.write(f"[{sec}]\n")
-        out.write(f"{prefix}_max = {num(spec.x_max)}\n")
-        out.write(f"{prefix}_min = {num(spec.x_min)}\n")
-        out.write(f"{prefix}_nominal = {num(spec.x_nominal)}\n")
-        out.write(f"p_max = {num(spec.p_max_w)}\n")
-        out.write(f"inertia = {num(spec.inertia_h)}\n")
-        out.write(f"damping = {num(spec.damping_d)}\n")
-        out.write(f"droop = {num(spec.droop_r)}\n")
-        for k in ("t_g", "f_hp", "t_ch", "t_rh"):
-            out.write(f"{k} = {num(getattr(spec, k))}\n")
-        out.write(f"k_p = {num(spec.k_p)}\nk_i = {num(spec.k_i)}\n\n")
-
-    swing("ac", cfg.ac, "f")
-    swing("dc", cfg.dc, "v")
-    ds = cfg.ds
-    out.write("[ds]\n")
-    out.write(f"v_max = {num(ds.x_max)}\nv_min = {num(ds.x_min)}\n")
-    out.write(f"v_nominal = {num(ds.x_nominal)}\np_max = {num(ds.p_max_w)}\n")
-    out.write(f"y_h = {num(ds.y_h)}\ny_l = {num(ds.y_l)}\n")
-    out.write(f"k_p = {num(ds.k_p)}\nk_i = {num(ds.k_i)}\n\n")
-    out.write("[ilc]\n")
-    out.write(f"omega_0 = {num(cfg.omega_0)}\n")
-    for k in ("k_tp1", "k_ti1", "k_tp2", "k_ti2"):
-        out.write(f"{k} = {num(getattr(cfg.ilc, k))}\n")
-    out.write(f"sampling_period = {num(cfg.ilc.sampling_period)}\n")
-    out.write(f"safety_factor = {num(cfg.ilc.safety_factor_m)}\n\n")
-    out.write("[sim]\n")
-    out.write(f"step = {num(cfg.step_s)}\nhorizon = {num(cfg.horizon_s)}\n")
-    out.write(f"output_every = {cfg.output_every}\n")
-    for name, val in zip(("ac", "dc", "ds"), run.initial_loads_w):
-        out.write(f"initial_load_{name} = {num(val)}\n")
-    out.write("\n[toggles]\n")
-    t = run.toggles
-    out.write(f"concatenator = {'true' if t.concatenator_enabled else 'false'}\n")
-    out.write(f"restoration = {'true' if t.restoration_enabled else 'false'}\n")
-    out.write(f"ilc = {'true' if t.ilc_enabled else 'false'}\n")
+    values = {kind: vars(spec) for kind, spec in zip(KINDS, cfg.specs)}
+    values.update(ilc=vars(cfg.ilc), config=vars(cfg),
+                  toggles=vars(run.toggles),
+                  load=dict(zip(KINDS, run.initial_loads_w)))
+    blocks = []
+    for section, rows in _SCHEMA.items():
+        lines = [f"[{section}]\n"]
+        for key, path, _ in rows:
+            owner, name, kind = _field(section, path)
+            value = values[owner][name]
+            if kind is bool:
+                text = "true" if value else "false"
+            else:
+                text = str(value) if kind is int else repr(float(value))
+            lines.append(f"{key} = {text}\n")
+        blocks.append("".join(lines))
     if run.events:
-        out.write("\n[events]\n")
-        for i, e in enumerate(run.events, start=1):
-            out.write(f"e{i} = {num(e.time_s)} {e.kind} {num(e.delta_w)}\n")
-    return out.getvalue()
+        blocks.append("[events]\n" + "".join(
+            f"e{i} = {float(e.time_s)!r} {e.kind} {float(e.delta_w)!r}\n"
+            for i, e in enumerate(run.events, start=1)))
+    return "\n".join(blocks)
 
 
 def reference_run(**overrides) -> LoadedRun:
@@ -406,24 +357,15 @@ def reference_run(**overrides) -> LoadedRun:
 def reference_config(**overrides) -> HybridConfig:
     """The benchmark parameter set: 20 kW subgrids, 51/49 Hz, 380/370 V,
     710/690 V, H = 2/3, y_h = 7.5, shared governor constants."""
-    ac = design_droop(SubgridSpec(
+    ac = SubgridSpec(
         kind=AC, x_max=51.0, x_min=49.0, x_nominal=50.0, p_max_w=20e3,
         inertia_h=2.0, damping_d=1.0, t_g=0.1, f_hp=0.3, t_ch=0.2, t_rh=7.0,
-        k_p=DEFAULT_K_P, k_i=DEFAULT_K_I,
-    ))
-    dc = design_droop(SubgridSpec(
-        kind=DC, x_max=380.0, x_min=370.0, x_nominal=370.0, p_max_w=20e3,
-        inertia_h=3.0, damping_d=1.0, t_g=0.1, f_hp=0.3, t_ch=0.2, t_rh=7.0,
-        k_p=DEFAULT_K_P, k_i=DEFAULT_K_I,
-    ))
-    ds = design_droop(SubgridSpec(
-        kind=DS, x_max=710.0, x_min=690.0, x_nominal=700.0, p_max_w=20e3,
-        y_h=7.5, k_p=DEFAULT_K_P, k_i=DEFAULT_K_I,
-    ))
-    cfg = HybridConfig(ac=ac, dc=dc, ds=ds, ilc=IlcSpec(
-        k_tp1=DEFAULT_K_TP, k_ti1=DEFAULT_K_TI,
-        k_tp2=DEFAULT_K_TP, k_ti2=DEFAULT_K_TI,
-    ))
+    )
+    dc = replace(ac, kind=DC, x_max=380.0, x_min=370.0, x_nominal=370.0,
+                 inertia_h=3.0)
+    ds = SubgridSpec(kind=DS, x_max=710.0, x_min=690.0, x_nominal=700.0,
+                     p_max_w=20e3, y_h=7.5)
+    cfg = HybridConfig(*[design_droop(s) for s in (ac, dc, ds)], ilc=IlcSpec())
     if overrides:
         cfg = replace(cfg, **overrides)
     cfg.validate()

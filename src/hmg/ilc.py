@@ -54,6 +54,8 @@ class ConcatenatorSpec:
 class IlcSpec:
     """Power-loop PI gains and controller deployment parameters."""
 
+    # fast against every subgrid mode, so the measured post-disturbance
+    # rates reflect the pooled inertia
     k_tp1: float = 4000.0
     k_ti1: float = 400e3
     k_tp2: float = 4000.0

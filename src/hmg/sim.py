@@ -265,14 +265,13 @@ class _Engine:
 
 def _schedule(scenario: Scenario) -> list[tuple[int, np.ndarray]]:
     """Load segments (first step, loads in watts): a load step at time t
-    acts from step ceil(t/h) on."""
-    h = scenario.step_s
+    acts from step `scenario.step_of(t)` on."""
     current = np.array(scenario.initial_loads_w, dtype=float)
     segments = [(0, current)]
     for e in scenario.events:
         current = current.copy()
         current[KIND_ORDER.index(e.kind)] += e.delta_w
-        segments.append((int(np.ceil(e.time_s / h - 1e-9)), current))
+        segments.append((scenario.step_of(e.time_s), current))
     return segments
 
 
@@ -450,11 +449,12 @@ def compare_with_gecm(
 ) -> GecmComparison:
     """RMS agreement between the simulated deviations and the circuit model.
 
-    The circuit model is solved for the loads stepped at the scenario's
-    first event time, realized to state space and integrated with the same
-    step; the per-unit deviation responses are compared over `window_s`
-    normalized by each channel's own RMS. Passing a different `gecm_config`
-    turns this into a negative control: the report then flags the mismatch.
+    The circuit model is solved for the loads of the first load-step group
+    (`Scenario.first_group_w`), realized to state space and integrated with
+    the same step; the per-unit deviation responses are compared over
+    `window_s` normalized by each channel's own RMS. Passing a different
+    `gecm_config` turns this into a negative control: the report then flags
+    the mismatch.
     """
     if not scenario.events:
         raise SimError("cross-validation needs at least one event")
@@ -472,10 +472,6 @@ def compare_with_gecm(
         )
     trace = run(scenario, config)
     model_cfg = config if gecm_config is None else gecm_config
-    steps = [e for e in scenario.events if abs(e.time_s - t0) < 1e-12]
-    loads = [0.0, 0.0, 0.0]
-    for e in steps:
-        loads[KIND_ORDER.index(e.kind)] += e.delta_w
     toggles = scenario.toggles
     ilc = model_cfg.ilc if toggles.ilc_enabled else IlcSpec(
         k_tp1=1e-12, k_ti1=1e-12, k_tp2=1e-12, k_ti2=1e-12,
@@ -483,7 +479,7 @@ def compare_with_gecm(
         safety_factor_m=model_cfg.ilc.safety_factor_m,
     )
     cspec = model_cfg.concatenator_spec() if toggles.concatenator_enabled else None
-    sys_ = build_gecm(*model_cfg.specs, ilc, cspec, tuple(loads))
+    sys_ = build_gecm(*model_cfg.specs, ilc, cspec, scenario.first_group_w())
     sol = solve_nodal(sys_)
 
     sim_devs = {}

@@ -76,8 +76,9 @@ class SubgridSpec:
     f_hp: float | None = None
     t_ch: float | None = None
     t_rh: float | None = None
-    k_p: float = 0.02
-    k_i: float = 0.2
+    # restoration PI gains; slow against the inertia response on purpose
+    k_p: float = 0.005
+    k_i: float = 0.05
 
     def validate(self) -> None:
         if self.kind not in KINDS:

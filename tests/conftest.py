@@ -5,7 +5,7 @@ import pytest
 from hmg.subgrid import AC, DC, DS, SubgridSpec, design_droop
 
 # Restoration PI gains shared by the reference setup (slow on purpose;
-# hmg.config.DEFAULT_K_P / DEFAULT_K_I are the shipped defaults).
+# the SubgridSpec defaults).
 K_P, K_I = 0.005, 0.05
 
 

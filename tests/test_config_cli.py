@@ -7,13 +7,39 @@ import pytest
 from hmg.cli import main
 from hmg.config import (
     ConfigError,
+    Toggles,
     parse_config,
     reference_run,
     serialize_config,
 )
+from hmg.ilc import IlcSpec
 
 REPO = Path(__file__).resolve().parents[1]
 TABLE1 = REPO / "configs" / "table1.cfg"
+
+OPTIONAL_KEYS = (
+    "droop", "y_l", "k_p", "k_i", "omega_0", "k_tp1", "k_ti1", "k_tp2",
+    "k_ti2", "sampling_period", "safety_factor", "step", "horizon",
+    "output_every", "initial_load_ac", "initial_load_dc", "initial_load_ds",
+    "concatenator", "restoration", "ilc",
+)
+
+
+def _minimal(text):
+    """The file with every optional key deleted."""
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if line.split("=")[0].strip() not in OPTIONAL_KEYS)
+
+
+def _variant(text):
+    """Non-default toggles, non-zero initial loads and no [events]."""
+    for old, new in (("concatenator = true", "concatenator = false"),
+                     ("ilc = true", "ilc = false"),
+                     ("initial_load_ac = 0", "initial_load_ac = 4e3"),
+                     ("initial_load_ds = 0", "initial_load_ds = 2.5e3")):
+        assert old in text
+        text = text.replace(old, new)
+    return text[:text.index("[events]")]
 
 
 @pytest.fixture
@@ -115,13 +141,39 @@ def test_cutoff_bound_enforced(table1_text):
     assert not run.config.cutoff_bound_ok()
 
 
-def test_round_trip(table1_text):
-    run = parse_config(table1_text)
+@pytest.mark.parametrize("variant", [lambda text: text, _minimal, _variant],
+                         ids=["table1", "minimal", "variant"])
+def test_round_trip(table1_text, variant):
+    run = parse_config(variant(table1_text))
     again = parse_config(serialize_config(run))
     assert again.config == run.config
     assert again.events == run.events
     assert again.toggles == run.toggles
     assert again.initial_loads_w == run.initial_loads_w
+
+
+def test_minimal_file_takes_defaults(table1_text):
+    from dataclasses import replace
+
+    run = parse_config(_minimal(table1_text))
+    cfg = run.config
+    want = reference_run().config
+    assert cfg.omega_0 == pytest.approx(want.omega_0, rel=1e-15)
+    assert replace(cfg, omega_0=want.omega_0) == want
+    assert run.toggles == Toggles(concatenator_enabled=True,
+                                  restoration_enabled=True, ilc_enabled=True)
+    assert run.initial_loads_w == (0.0, 0.0, 0.0)
+    assert [(s.k_p, s.k_i) for s in cfg.specs] == [(0.005, 0.05)] * 3
+    assert cfg.ilc == IlcSpec(k_tp1=4000.0, k_ti1=400e3, k_tp2=4000.0,
+                              k_ti2=400e3, sampling_period=50e-6,
+                              safety_factor_m=1.3)
+    assert (cfg.step_s, cfg.horizon_s, cfg.output_every) == (1e-4, 40.0, 100)
+    variant = parse_config(_variant(table1_text))
+    assert variant.toggles == Toggles(concatenator_enabled=False,
+                                      restoration_enabled=True,
+                                      ilc_enabled=False)
+    assert variant.initial_loads_w == (4e3, 0.0, 2.5e3)
+    assert variant.events == ()
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +262,18 @@ def test_cli_simulate_off_grid_event_exit2(tmp_path, table1_text, caplog):
     assert "not on the trace grid" in caplog.text
 
 
+def test_cli_simulate_event_after_last_step_exit2(tmp_path, table1_text,
+                                                  caplog):
+    # 8.00004 s holds 80,000 steps of 0.1 ms; an event at 8.00003 s acts
+    # from step 80,001, which the schedule would drop
+    cfg = _short_config(tmp_path, table1_text, horizon="8.00004",
+                        extra=[("e1 = 1.0 dc", "e1 = 8.00003 dc")])
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "t=8.00003 s acts after the last step at t=8 s" in caplog.text
+    assert not (tmp_path / "o" / "trace.csv").exists()
+
+
 def test_cli_bode_targets(tmp_path, capsys):
     out = tmp_path / "t_ac.csv"
     code = main(["bode", "T_ac", "--config", str(TABLE1), "--out", str(out)])
@@ -248,6 +312,18 @@ def test_cli_bode_f_closed_low_frequency_plateau(tmp_path, capsys):
     w, mag = float(rows[0][0]), float(rows[0][1])
     # |f(jw)| ~ 50/w near DC with restoration pinning the final value
     assert mag == pytest.approx(20 * math.log10(50.0 / w), abs=0.1)
+
+
+def test_cli_bode_f_closed_uses_first_load_step_group(tmp_path, table1_text,
+                                                     capsys):
+    # e4 at t = 20 s is not part of the first disturbance
+    path = tmp_path / "no_e4.cfg"
+    path.write_text(table1_text.replace("e4 = 20.0 ac 6e3", ""))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["bode", "f_closed", "--config", str(TABLE1), "--out", str(a)]) == 0
+    assert main(["bode", "f_closed", "--config", str(path), "--out", str(b)]) == 0
+    capsys.readouterr()
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_cli_bode_unknown_target_exit2(tmp_path, capsys):

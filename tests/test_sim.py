@@ -48,6 +48,21 @@ def test_scenario_validation():
         Scenario(horizon_s=10.0, events=(Event(20.0, "ac", 1e3),)).validate()
     with pytest.raises(ConfigError):
         Scenario(horizon_s=10.0, events=(Event(1.0, "pv", 1e3),)).validate()
+    # within the horizon, but after the last step: the schedule would drop it
+    with pytest.raises(ConfigError, match=r"t=0\.50004 s acts after the last "
+                       r"step at t=0\.5 s"):
+        Scenario(horizon_s=0.50005, step_s=1e-4,
+                 events=(Event(0.50004, "ac", 1e3),)).validate()
+
+
+def test_first_group_is_the_first_events_step():
+    sc = Scenario(horizon_s=2.0, events=(Event(1.00001, "dc", 1e3),
+                                         Event(1.00004, "ac", 2e3),
+                                         Event(1.0002, "ac", 4e3)))
+    assert [sc.step_of(t) for t in (1.0, 1.00001, 1.00004, 1.0002)] == [
+        10000, 10001, 10001, 10002]
+    assert sc.first_group_w() == (2e3, 1e3, 0.0)
+    assert Scenario(horizon_s=2.0).first_group_w() == (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
