@@ -14,7 +14,7 @@ from hmg.lti import (
     ivt_rate_limit,
     poly,
     poly_mul,
-    step_rk4,
+    rk4_step_maps,
     tf,
     tf_add,
     tf_eval,
@@ -44,12 +44,14 @@ print("initial rate per unit load:", ivt_rate_limit(branch), "= -1/(2H)")
 step_response = tf(branch.num.coeffs, (0.0,) + branch.den.coeffs)
 print("steady deviation per unit load:", fvt_limit(step_response))
 
-# Realize and integrate; the step response approaches the final value.
+# Realize and integrate with the RK4 one-step map x+ = M x + N u; the step
+# response approaches the final value.
 ss = tf_to_statespace(branch)
 x = np.zeros(ss.order)
 h = 1e-3
+M, N = rk4_step_maps(ss, h)
 for _ in range(int(60.0 / h)):
-    x = step_rk4(ss, x, 1.0, h)
+    x = M @ x + N
 print("simulated deviation at 60 s:", float(ss.C @ x))
 
 # The high-frequency magnitude of the lead-lag concatenator is unity and

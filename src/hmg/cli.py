@@ -7,9 +7,9 @@ HMG_LOG (error|info|debug); reports go to standard output with six
 significant digits.
 
 Exit codes: 0 success, 1 informational (design-report bound violation),
-2 configuration/usage error (including a scenario the simulator cannot
-measure), 3 numerical divergence (including a step size at which the
-one-step map is unstable).
+2 configuration/usage error (including an unmeasurable scenario and any
+circuit-model or transfer-function error), 3 numerical divergence
+(including an unstable one-step map and a singular nodal system).
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from pathlib import Path
 
 from .config import ConfigError, LoadedRun, load_config
 from .gecm import (
+    GecmError,
+    SingularSystem,
     bode_export,
     build_gecm,
     default_bode_grid,
@@ -35,7 +37,7 @@ from .gecm import (
     solve_nodal,
 )
 from .ilc import concatenator_tf, design_omegas, min_cutoff
-from .lti import tf, tf_scale, tf_series
+from .lti import LtiError, tf, tf_scale, tf_series
 from .sim import (
     NotSettled,
     NumericalDivergence,
@@ -255,10 +257,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except NumericalDivergence as exc:
+    except (NumericalDivergence, SingularSystem) as exc:
         log.error("%s", exc)
         return EXIT_DIVERGED
-    except (ConfigError, SimError) as exc:
+    except (ConfigError, SimError, GecmError, LtiError) as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
 

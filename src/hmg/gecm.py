@@ -50,6 +50,7 @@ from .lti import (
 from .subgrid import SubgridSpec, build_open_loop_tf
 
 RESIDUAL_TOL = 1e-6
+BODE_POINTS = 300  # default Bode grid, log-spaced over 1e-4..1e4 rad/s
 
 
 class GecmError(Exception):
@@ -491,5 +492,5 @@ def bode_export(f: RationalTF, omega_grid) -> list[tuple[float, float, float]]:
     return rows
 
 
-def default_bode_grid(n: int = 300) -> np.ndarray:
-    return np.geomspace(1e-4, 1e4, n)
+def default_bode_grid() -> np.ndarray:
+    return np.geomspace(1e-4, 1e4, BODE_POINTS)

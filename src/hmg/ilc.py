@@ -17,15 +17,15 @@ The cutoff w_0 must respect the resolution of the fixed-width arithmetic the
 controller is deployed on: discretized with period T_s, the filter pole maps
 to exp(-w_0*T_s) ~ 1 - w_0*T_s, so w_0*T_s has to stay above the effective
 machine spacing M * 2**-23 of single-precision hardware.
+
+This module designs the controller; `sim` steps it as rows of its one-step map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-import numpy as np
-
-from .lti import RationalTF, StateSpace, rk4_step_maps, tf
+from .lti import RationalTF, tf
 from .subgrid import AC, DC, DS, DegenerateLimits, SubgridSpec
 
 # Single-precision machine spacing of the target fixed-width hardware
@@ -70,24 +70,6 @@ class IlcSpec:
                 raise IlcError(f"{name} must be > 0")
 
 
-@dataclass
-class IlcState:
-    """Mutable controller state for one run.
-
-    Filter states are the internal concatenator integrators; z1/z2 are the
-    power-loop PI integrators. p1_w > 0 moves power DS -> DC, p2_w > 0
-    moves power DS -> AC.
-    """
-
-    z_ac: float = 0.0
-    z_dc: float = 0.0
-    z_ds: float = 0.0
-    z1: float = 0.0
-    z2: float = 0.0
-    p1_w: float = 0.0
-    p2_w: float = 0.0
-
-
 def min_cutoff(sampling_period: float, safety_factor: float) -> float:
     """Smallest admissible concatenator cutoff, M * 2**-23 / T_s [rad/s]."""
     if sampling_period <= 0.0 or safety_factor <= 0.0:
@@ -117,79 +99,9 @@ def concatenator_tf(cspec: ConcatenatorSpec, channel: str) -> RationalTF:
     return tf([cspec.omega(channel), 1.0], [cspec.omega_0, 1.0])
 
 
-def concatenator_ss(cspec: ConcatenatorSpec, channel: str) -> StateSpace:
-    """State-space form y = u + (w_x - w_0) z, dz/dt = u - w_0 z."""
-    w_x, w_0 = cspec.omega(channel), cspec.omega_0
-    return StateSpace(
-        A=np.array([[-w_0]]), B=np.ones(1), C=np.array([w_x - w_0]), D=1.0
-    )
-
-
 def ilc_equivalent_impedances(spec: IlcSpec) -> tuple[RationalTF, RationalTF]:
     """Coupling impedances of the two power loops, s/(k_tp s + k_ti)."""
     spec.validate()
     z1 = tf([0.0, 1.0], [spec.k_ti1, spec.k_tp1])
     z2 = tf([0.0, 1.0], [spec.k_ti2, spec.k_tp2])
     return z1, z2
-
-
-def ilc_outputs(
-    state: IlcState,
-    delta_f_pu: float,
-    delta_vdc_pu: float,
-    delta_vds_pu: float,
-    spec: IlcSpec,
-    cspec: ConcatenatorSpec | None,
-    p_gmax_w: float,
-) -> tuple[float, float, float, float, float]:
-    """Concatenated deviations and converter powers from the current state.
-
-    With cspec None the concatenators are bypassed (unity filters), which
-    reduces the controller to pure transient inertia transfer.
-    """
-    if cspec is None:
-        c_ac, c_dc, c_ds = delta_f_pu, delta_vdc_pu, delta_vds_pu
-    else:
-        w0 = cspec.omega_0
-        c_ac = delta_f_pu + (cspec.omega_ac - w0) * state.z_ac
-        c_dc = delta_vdc_pu + (cspec.omega_dc - w0) * state.z_dc
-        c_ds = delta_vds_pu + (cspec.omega_ds - w0) * state.z_ds
-    e1 = c_ds - c_dc
-    e2 = c_ds - c_ac
-    p1_w = (spec.k_tp1 * e1 + spec.k_ti1 * state.z1) * p_gmax_w
-    p2_w = (spec.k_tp2 * e2 + spec.k_ti2 * state.z2) * p_gmax_w
-    return c_ac, c_dc, c_ds, p1_w, p2_w
-
-
-def ilc_step(
-    state: IlcState,
-    delta_f_pu: float,
-    delta_vdc_pu: float,
-    delta_vds_pu: float,
-    spec: IlcSpec,
-    cspec: ConcatenatorSpec | None,
-    h: float,
-    p_gmax_w: float,
-) -> IlcState:
-    """Advance the controller one step with deviation inputs held constant.
-
-    Converter powers stored in the returned state are the values acting over
-    this step (computed from the pre-advance state); p1 drives the DS->DC
-    stage, p2 the DS->AC stage, in watts on the global base.
-    """
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
-    c_ac, c_dc, c_ds, p1_w, p2_w = ilc_outputs(
-        state, delta_f_pu, delta_vdc_pu, delta_vds_pu, spec, cspec, p_gmax_w
-    )
-    out = replace(state, p1_w=p1_w, p2_w=p2_w)
-    out.z1 = state.z1 + h * (c_ds - c_dc)
-    out.z2 = state.z2 + h * (c_ds - c_ac)
-    if cspec is not None:
-        # RK4 one-step map of dz/dt = u - w0 z with held input
-        for name, channel, u in (("z_ac", AC, delta_f_pu),
-                                 ("z_dc", DC, delta_vdc_pu),
-                                 ("z_ds", DS, delta_vds_pu)):
-            m, n = rk4_step_maps(concatenator_ss(cspec, channel), h)
-            setattr(out, name, float(m[0, 0] * getattr(state, name) + n[0] * u))
-    return out

@@ -9,8 +9,8 @@ primitives in this module:
 * ``RationalTF`` -- ratio of two polynomials, denominator kept monic.
 * ``StateSpace`` -- controllable-canonical realization of a proper
   ``RationalTF``.
-* ``step_rk4`` -- classical 4th-order Runge-Kutta advance with the input held
-  constant over the step.
+* ``rk4_step_maps`` -- the linear one-step map x+ = M x + N u of classical
+  4th-order Runge-Kutta with the input held constant over the step.
 * ``ivt_rate_limit`` / ``fvt_limit`` -- the s->inf and s->0 limits of
   ``s*F(s)`` used for rate-of-change and steady-state analysis.
 
@@ -259,37 +259,12 @@ def ss_eval(ss: StateSpace, s: complex) -> complex:
     return complex(ss.C @ np.linalg.solve(m, ss.B.astype(complex)) + ss.D)
 
 
-def step_rk4(ss: StateSpace, x: np.ndarray, u: float, h: float) -> np.ndarray:
-    """One classical RK4 step of dx/dt = A x + B u with u held constant.
-
-    Parameters
-    ----------
-    ss : StateSpace
-    x : ndarray, shape (n,)
-        State at the start of the step.
-    u : float
-        Input, constant over the step.
-    h : float
-        Step length in seconds, > 0.
-    """
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
-    A, B = ss.A, ss.B
-    bu = B * u
-    k1 = A @ x + bu
-    k2 = A @ (x + 0.5 * h * k1) + bu
-    k3 = A @ (x + 0.5 * h * k2) + bu
-    k4 = A @ (x + h * k3) + bu
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def rk4_step_maps(ss: StateSpace, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact linear one-step map of `step_rk4` for an LTI block.
+    """Linear one-step map of classical RK4 for an LTI block.
 
-    For constant u over the step, RK4 reduces to x+ = M x + N u with
-    M = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 and the matching input
-    polynomial applied to B. Stepping with (M, N) is algebraically identical
-    to calling `step_rk4`.
+    For constant u over the step, the four RK4 stages of dx/dt = A x + B u
+    reduce to x+ = M x + N u with M = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24
+    and the matching input polynomial applied to B.
     """
     n = ss.order
     A = ss.A
@@ -359,17 +334,3 @@ def fvt_limit(f: RationalTF) -> float:
     # deflate den by its origin root: den ~ s * q(s)
     q = Polynomial(f.den.coeffs[1:])
     return f.num(0.0) / q(0.0)
-
-
-def coeffs_close(a: Polynomial, b: Polynomial, tol: float = 1e-10) -> bool:
-    """Coefficient-wise comparison after padding, relative to joint scale."""
-    n = max(len(a.coeffs), len(b.coeffs))
-    ca = list(a.coeffs) + [0.0] * (n - len(a.coeffs))
-    cb = list(b.coeffs) + [0.0] * (n - len(b.coeffs))
-    scale = max(max(abs(v) for v in ca), max(abs(v) for v in cb), 1e-300)
-    return all(abs(x - y) <= tol * scale for x, y in zip(ca, cb))
-
-
-def tf_close(a: RationalTF, b: RationalTF, tol: float = 1e-10) -> bool:
-    """Equality of normalized rational functions by cross-multiplication."""
-    return coeffs_close(poly_mul(a.num, b.den), poly_mul(b.num, a.den), tol)

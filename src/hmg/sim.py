@@ -7,8 +7,8 @@ constant) load powers. The engine therefore precomputes, per block, the
 exact one-step RK4 map for inputs held constant over the step, chains it
 with the algebraic coupling relations evaluated at the step start, and
 advances the composed affine map x+ = S x + T u once per step. This is
-algebraically identical to stepping every block with `lti.step_rk4` under
-held inputs, and fast enough for sub-millisecond steps over long horizons.
+algebraically identical to stepping every block by classical RK4 under held
+inputs, and fast enough for sub-millisecond steps over long horizons.
 A map whose spectral radius is not below 1 is rejected at assembly.
 
 Coupling sign conventions (converter powers in watts on the global base):
@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import Event, HybridConfig, Scenario, Toggles
 from .gecm import build_gecm, solve_nodal
-from .ilc import IlcSpec, concatenator_ss
+from .ilc import IlcSpec, concatenator_tf
 from .lti import StateSpace, rk4_step_maps, tf_to_statespace
 from .subgrid import AC, DC, DS, build_open_loop_tf, hess_split
 
@@ -49,6 +49,11 @@ DIVERGENCE_LIMIT = 0.5
 # relative to its base, must stay below this.
 SETTLE_WINDOW_S = 2.0
 SETTLE_REL = 5e-4
+
+# Circuit-model cross-check: window after the first event, and the worst
+# RMS mismatch (fraction of the channel's own RMS) that still passes.
+XCHECK_WINDOW_S = 10.0
+XCHECK_TOLERANCE = 0.02
 
 TRACE_COLUMNS = (
     "t_s", "f_hz", "vdc_v", "vds_v", "p_oac_w", "p_odc_w", "p_ods_w",
@@ -160,7 +165,8 @@ class _Engine:
         pi = []
         if toggles.ilc_enabled:
             if cspec is not None:
-                conc = [concatenator_ss(cspec, kind) for kind in KIND_ORDER]
+                conc = [tf_to_statespace(concatenator_tf(cspec, kind))
+                        for kind in KIND_ORDER]
             pi = [_INTEGRATOR, _INTEGRATOR]
 
         idx = {}
@@ -436,7 +442,6 @@ def measure(trace: SimTrace, event_time_s: float,
 class GecmComparison:
     rms_fraction: dict
     residual: float
-    tolerance: float
     passed: bool
 
 
@@ -444,15 +449,13 @@ def compare_with_gecm(
     scenario: Scenario,
     config: HybridConfig,
     gecm_config: HybridConfig | None = None,
-    window_s: float = 10.0,
-    tolerance: float = 0.02,
 ) -> GecmComparison:
     """RMS agreement between the simulated deviations and the circuit model.
 
     The circuit model is solved for the loads of the first load-step group
     (`Scenario.first_group_w`), realized to state space and integrated with
     the same step; the per-unit deviation responses are compared over
-    `window_s` normalized by each channel's own RMS. Passing a different
+    XCHECK_WINDOW_S normalized by each channel's own RMS. Passing a different
     `gecm_config` turns this into a negative control: the report then flags
     the mismatch.
     """
@@ -463,11 +466,11 @@ def compare_with_gecm(
     dt = h * every
     t0 = scenario.events[0].time_s
     i0 = int(round(t0 / dt))
-    n = int(round(window_s / dt))
+    n = int(round(XCHECK_WINDOW_S / dt))
     missing = (i0 + n - int(round(scenario.horizon_s / h)) // every) * dt
     if missing > 0:
         raise SimError(
-            f"cross-check window of {window_s:g} s after t={t0:g} s ends "
+            f"cross-check window of {XCHECK_WINDOW_S:g} s after t={t0:g} s ends "
             f"{missing:g} s past the {scenario.horizon_s:g} s horizon"
         )
     trace = run(scenario, config)
@@ -504,8 +507,8 @@ def compare_with_gecm(
         rms[kind] = frac
         worst = max(worst, frac)
     return GecmComparison(
-        rms_fraction=rms, residual=sol.residual, tolerance=tolerance,
-        passed=worst <= tolerance,
+        rms_fraction=rms, residual=sol.residual,
+        passed=worst <= XCHECK_TOLERANCE,
     )
 
 

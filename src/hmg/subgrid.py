@@ -11,8 +11,8 @@ power (on its own power base) to its per-unit frequency/voltage deviation:
 
 The module also designs droop coefficients from the SI frequency/voltage
 limits so that per-unit and SI droop laws agree, splits the DS power into
-its low/high-frequency shares, and advances the frequency/voltage
-restoration PI that trims steady-state deviations to zero.
+its low/high-frequency shares, and carries the gains of the restoration PI
+that trims steady-state deviations to zero (`sim` steps that PI).
 
 Sign conventions: deviations are measured from the maximum value
 (x* = 1 + dx* + comp*), so positive load gives negative deviation.
@@ -21,8 +21,6 @@ Sign conventions: deviations are measured from the maximum value
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .lti import (
     RationalTF,
@@ -115,22 +113,6 @@ class SubgridSpec:
         return self.x_max - self.x_min
 
 
-@dataclass
-class SubgridState:
-    """Mutable per-run state of one subgrid.
-
-    block holds the realization states of the open-loop transfer function
-    (swing + governor chain); delta_x_pu is its output, kept alongside for
-    convenience. x* is reconstructed as 1 + delta_x_pu + delta_comp_pu.
-    """
-
-    delta_x_pu: float = 0.0
-    delta_comp_pu: float = 0.0
-    block: np.ndarray | None = None
-    p_out_pu_local: float = 0.0
-    e_prev: float = 0.0
-
-
 def design_droop(spec: SubgridSpec) -> SubgridSpec:
     """Fill the droop coefficient so p.u. and SI droop laws coincide.
 
@@ -140,11 +122,15 @@ def design_droop(spec: SubgridSpec) -> SubgridSpec:
 
     Raises
     ------
+    SubgridError
+        When x_max <= 0: the per-unit band (x_max - x_min)/x_max is undefined.
     DegenerateLimits
         When x_max == x_min.
     NegativeDroop
         When damping is so large that the design denominator is <= 0.
     """
+    if spec.x_max <= 0.0:
+        raise SubgridError(f"{spec.kind}: x_max must be > 0, got {spec.x_max}")
     band = spec.band
     if band == 0.0:
         raise DegenerateLimits(f"{spec.kind}: x_max == x_min")
@@ -215,37 +201,6 @@ def hess_split(step_pu: float, spec: SubgridSpec) -> tuple[RationalTF, RationalT
     p_l = tf([step_pu * a], [a, 1.0])
     p_h = tf([0.0, step_pu], [a, 1.0])
     return p_l, p_h
-
-
-def restoration_step(
-    state: SubgridState, x_nominal_pu: float, h: float, spec: SubgridSpec
-) -> SubgridState:
-    """Advance the restoration PI one step of length h (velocity form).
-
-    e = x_n* - x* with x* = 1 + dx* + comp*; the compensation moves by
-    k_p*(e - e_prev) + k_i*e*h. Gains are small by design, so the
-    compensation is quasi-constant on the inertia time scale and does not
-    disturb the deviation dynamics.
-    """
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
-    x_pu = 1.0 + state.delta_x_pu + state.delta_comp_pu
-    e = x_nominal_pu - x_pu
-    comp = state.delta_comp_pu + spec.k_p * (e - state.e_prev) + spec.k_i * e * h
-    return replace_state(state, delta_comp_pu=comp, e_prev=e)
-
-
-def replace_state(state: SubgridState, **changes) -> SubgridState:
-    out = SubgridState(
-        delta_x_pu=state.delta_x_pu,
-        delta_comp_pu=state.delta_comp_pu,
-        block=None if state.block is None else state.block.copy(),
-        p_out_pu_local=state.p_out_pu_local,
-        e_prev=state.e_prev,
-    )
-    for key, value in changes.items():
-        setattr(out, key, value)
-    return out
 
 
 def compute_lc(x_si: float, spec: SubgridSpec) -> float:

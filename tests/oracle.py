@@ -1,0 +1,162 @@
+"""Per-block scalar stepping reference for the composed engine.
+
+The library advances the whole closed loop as one affine map x+ = S x + T u
+(`hmg.sim._Engine`). This module is the independent reference the tests
+compare that map against: every control law stepped on its own, one block
+and one scalar state at a time, exactly as the paper states them.
+
+* ``step_rk4`` -- classical 4th-order Runge-Kutta advance of a
+  ``StateSpace`` with the input held constant over the step.
+* ``SubgridState`` / ``restoration_step`` -- the frequency/voltage
+  restoration PI in velocity form.
+* ``IlcState`` / ``ilc_outputs`` / ``ilc_step`` -- the concatenators and
+  the two-stage interlinking-converter power loop.
+* ``coeffs_close`` / ``tf_close`` -- tolerance comparison of polynomials and
+  rational functions.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from hmg.ilc import ConcatenatorSpec, IlcSpec, concatenator_tf
+from hmg.lti import (
+    Polynomial,
+    RationalTF,
+    StateSpace,
+    poly_mul,
+    rk4_step_maps,
+    tf_to_statespace,
+)
+from hmg.subgrid import AC, DC, DS, SubgridSpec
+
+
+def step_rk4(ss: StateSpace, x: np.ndarray, u: float, h: float) -> np.ndarray:
+    """One classical RK4 step of dx/dt = A x + B u with u held constant."""
+    A, B = ss.A, ss.B
+    bu = B * u
+    k1 = A @ x + bu
+    k2 = A @ (x + 0.5 * h * k1) + bu
+    k3 = A @ (x + 0.5 * h * k2) + bu
+    k4 = A @ (x + h * k3) + bu
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def coeffs_close(a: Polynomial, b: Polynomial, tol: float = 1e-10) -> bool:
+    """Coefficient-wise comparison after padding, relative to joint scale."""
+    n = max(len(a.coeffs), len(b.coeffs))
+    ca = list(a.coeffs) + [0.0] * (n - len(a.coeffs))
+    cb = list(b.coeffs) + [0.0] * (n - len(b.coeffs))
+    scale = max(max(abs(v) for v in ca), max(abs(v) for v in cb), 1e-300)
+    return all(abs(x - y) <= tol * scale for x, y in zip(ca, cb))
+
+
+def tf_close(a: RationalTF, b: RationalTF, tol: float = 1e-10) -> bool:
+    """Equality of normalized rational functions by cross-multiplication."""
+    return coeffs_close(poly_mul(a.num, b.den), poly_mul(b.num, a.den), tol)
+
+
+# ---------------------------------------------------------------------------
+# restoration PI
+# ---------------------------------------------------------------------------
+
+@dataclass
+class SubgridState:
+    """Restoration state of one subgrid; x* = 1 + delta_x_pu + delta_comp_pu."""
+
+    delta_x_pu: float = 0.0
+    delta_comp_pu: float = 0.0
+    e_prev: float = 0.0
+
+
+def restoration_step(
+    state: SubgridState, x_nominal_pu: float, h: float, spec: SubgridSpec
+) -> SubgridState:
+    """Advance the restoration PI one step of length h (velocity form).
+
+    e = x_n* - x*; the compensation moves by k_p*(e - e_prev) + k_i*e*h.
+    """
+    x_pu = 1.0 + state.delta_x_pu + state.delta_comp_pu
+    e = x_nominal_pu - x_pu
+    comp = state.delta_comp_pu + spec.k_p * (e - state.e_prev) + spec.k_i * e * h
+    return replace(state, delta_comp_pu=comp, e_prev=e)
+
+
+# ---------------------------------------------------------------------------
+# interlinking-converter controller
+# ---------------------------------------------------------------------------
+
+@dataclass
+class IlcState:
+    """Controller state: concatenator integrators z_ac/z_dc/z_ds and the
+    power-loop PI integrators z1/z2. p1_w > 0 moves power DS -> DC, p2_w > 0
+    moves power DS -> AC."""
+
+    z_ac: float = 0.0
+    z_dc: float = 0.0
+    z_ds: float = 0.0
+    z1: float = 0.0
+    z2: float = 0.0
+    p1_w: float = 0.0
+    p2_w: float = 0.0
+
+
+def ilc_outputs(
+    state: IlcState,
+    delta_f_pu: float,
+    delta_vdc_pu: float,
+    delta_vds_pu: float,
+    spec: IlcSpec,
+    cspec: ConcatenatorSpec | None,
+    p_gmax_w: float,
+) -> tuple[float, float, float, float, float]:
+    """Concatenated deviations and converter powers from the current state.
+
+    With cspec None the concatenators are bypassed (unity filters).
+    """
+    if cspec is None:
+        c_ac, c_dc, c_ds = delta_f_pu, delta_vdc_pu, delta_vds_pu
+    else:
+        w0 = cspec.omega_0
+        c_ac = delta_f_pu + (cspec.omega_ac - w0) * state.z_ac
+        c_dc = delta_vdc_pu + (cspec.omega_dc - w0) * state.z_dc
+        c_ds = delta_vds_pu + (cspec.omega_ds - w0) * state.z_ds
+    e1 = c_ds - c_dc
+    e2 = c_ds - c_ac
+    p1_w = (spec.k_tp1 * e1 + spec.k_ti1 * state.z1) * p_gmax_w
+    p2_w = (spec.k_tp2 * e2 + spec.k_ti2 * state.z2) * p_gmax_w
+    return c_ac, c_dc, c_ds, p1_w, p2_w
+
+
+def ilc_step(
+    state: IlcState,
+    delta_f_pu: float,
+    delta_vdc_pu: float,
+    delta_vds_pu: float,
+    spec: IlcSpec,
+    cspec: ConcatenatorSpec | None,
+    h: float,
+    p_gmax_w: float,
+) -> IlcState:
+    """Advance the controller one step with deviation inputs held constant.
+
+    The converter powers stored in the returned state are the values acting
+    over this step (computed from the pre-advance state).
+    """
+    c_ac, c_dc, c_ds, p1_w, p2_w = ilc_outputs(
+        state, delta_f_pu, delta_vdc_pu, delta_vds_pu, spec, cspec, p_gmax_w
+    )
+    out = replace(state, p1_w=p1_w, p2_w=p2_w,
+                  z1=state.z1 + h * (c_ds - c_dc),
+                  z2=state.z2 + h * (c_ds - c_ac))
+    if cspec is not None:
+        # RK4 one-step map of dz/dt = u - w0 z with held input
+        for name, channel, u in (("z_ac", AC, delta_f_pu),
+                                 ("z_dc", DC, delta_vdc_pu),
+                                 ("z_ds", DS, delta_vds_pu)):
+            m, n = rk4_step_maps(
+                tf_to_statespace(concatenator_tf(cspec, channel)), h)
+            setattr(out, name, float(m[0, 0] * getattr(state, name) + n[0] * u))
+    return out

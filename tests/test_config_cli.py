@@ -367,3 +367,59 @@ def test_cli_missing_config_file(tmp_path, capsys):
     code = main(["predict", "--config", str(tmp_path / "nope.cfg")])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("old, new", [
+    ("f_max = 51 ", "f_max = 0 "),
+    ("v_max = 380 ", "v_max = 0 "),
+    ("v_max = 710 ", "v_max = 0 "),
+], ids=["ac", "dc", "ds"])
+def test_cli_non_positive_upper_limit_exit2(tmp_path, table1_text, caplog,
+                                            old, new):
+    # x_max = 0 would divide by zero in the droop design
+    text = table1_text.replace(old, new, 1)
+    assert text != table1_text
+    with pytest.raises(ConfigError, match="x_max must be > 0"):
+        parse_config(text)
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["predict", "--config", str(path)]) == 2
+    assert "x_max must be > 0" in caplog.text
+
+
+# ---------------------------------------------------------------------------
+# circuit-model and transfer-function errors
+# ---------------------------------------------------------------------------
+
+def test_cli_predict_load_beyond_capacity_exit2(tmp_path, table1_text, caplog):
+    path = tmp_path / "big.cfg"
+    path.write_text(table1_text.replace("e1 = 1.0 dc 14e3", "e1 = 1.0 dc 140e3"))
+    assert main(["predict", "--config", str(path)]) == 2
+    assert "load step exceeds total capacity" in caplog.text
+
+
+def test_cli_bode_transfer_function_error_exit2(tmp_path, monkeypatch, caplog):
+    import hmg.cli
+    from hmg.lti import EvalAtPole
+
+    def at_pole(f, grid):
+        raise EvalAtPole("denominator vanishes at s=1j")
+
+    monkeypatch.setattr(hmg.cli, "bode_export", at_pole)
+    out = tmp_path / "t.csv"
+    assert main(["bode", "T_ac", "--config", str(TABLE1), "--out", str(out)]) == 2
+    assert "denominator vanishes at s=1j" in caplog.text
+
+
+def test_cli_bode_singular_nodal_system_exit3(tmp_path, monkeypatch, caplog):
+    import hmg.cli
+    from hmg.gecm import SingularSystem
+
+    def singular(system):
+        raise SingularSystem("nodal determinant is identically zero")
+
+    monkeypatch.setattr(hmg.cli, "solve_nodal", singular)
+    out = tmp_path / "f.csv"
+    assert main(["bode", "f_closed", "--config", str(TABLE1),
+                 "--out", str(out)]) == 3
+    assert "nodal determinant is identically zero" in caplog.text

@@ -9,22 +9,20 @@ from hmg.lti import (
     ImproperTF,
     Polynomial,
     Unbounded,
-    coeffs_close,
     fvt_limit,
     ivt_rate_limit,
     poly,
     poly_mul,
     rk4_step_maps,
     ss_eval,
-    step_rk4,
     tf,
     tf_add,
-    tf_close,
     tf_eval,
     tf_reciprocal,
     tf_series,
     tf_to_statespace,
 )
+from oracle import coeffs_close, step_rk4, tf_close
 
 # reference governor/turbine constants used by a few oracles below
 

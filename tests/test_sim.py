@@ -146,14 +146,16 @@ def test_divergence_check_catches_non_finite_states(cfg, monkeypatch):
 def test_composed_engine_matches_per_block_stepping(cfg):
     # the precomputed affine map must agree with literally stepping every
     # block under held inputs and coupling the outputs once per step
-    from hmg.ilc import IlcState, ilc_outputs, ilc_step
-    from hmg.lti import step_rk4, tf_to_statespace
+    from hmg.lti import tf_to_statespace
     from hmg.sim import _Engine
-    from hmg.subgrid import (
+    from hmg.subgrid import build_open_loop_tf, hess_split
+    from oracle import (
+        IlcState,
         SubgridState,
-        build_open_loop_tf,
-        hess_split,
+        ilc_outputs,
+        ilc_step,
         restoration_step,
+        step_rk4,
     )
 
     h = 1e-4

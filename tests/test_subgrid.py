@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import make_ac, make_ds
+from oracle import SubgridState, restoration_step, tf_close
 from hmg.lti import (
     fvt_limit,
     ivt_rate_limit,
     rk4_step_maps,
     tf,
     tf_add,
-    tf_close,
     tf_to_statespace,
 )
 from hmg.subgrid import (
@@ -16,13 +16,11 @@ from hmg.subgrid import (
     DegenerateLimits,
     NegativeDroop,
     SubgridSpec,
-    SubgridState,
     build_open_loop_tf,
     compute_lc,
     compute_rli,
     design_droop,
     hess_split,
-    restoration_step,
     steady_droop_gain_pu,
 )
 
