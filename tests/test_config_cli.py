@@ -262,6 +262,19 @@ def test_cli_simulate_off_grid_event_exit2(tmp_path, table1_text, caplog):
     assert "not on the trace grid" in caplog.text
 
 
+def test_cli_simulate_second_load_change_in_rate_sample_exit2(
+        tmp_path, table1_text, caplog):
+    # the DC step at 1.005 s acts inside the 10 ms sample the first rates
+    # are taken over, so they would blend two load changes
+    cfg = _short_config(tmp_path, table1_text,
+                        extra=[("e1 = 1.0 dc", "e1 = 1.005 dc")])
+    out_dir = tmp_path / "o"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out_dir)])
+    assert code == 2
+    assert "within the sample (1, 1.01] s after the event at t=1 s" in caplog.text
+    assert not (out_dir / "metrics.json").exists()
+
+
 def test_cli_simulate_event_after_last_step_exit2(tmp_path, table1_text,
                                                   caplog):
     # 8.00004 s holds 80,000 steps of 0.1 ms; an event at 8.00003 s acts

@@ -221,6 +221,58 @@ def test_run_is_deterministic(cfg):
 
 
 # ---------------------------------------------------------------------------
+# sample-stride propagation
+# ---------------------------------------------------------------------------
+
+# (segment first steps, n_steps, every)
+STRIDE_CASES = {
+    "boundary_off_grid": ((0, 7), 40, 5),
+    "two_boundaries_in_one_sample": ((0, 11, 13), 40, 5),
+    "segment_shorter_than_every": ((0, 10, 12, 30), 40, 5),
+    "event_at_last_step_and_past_it": ((0, 39, 40, 43), 40, 5),
+    "steps_not_a_multiple_of_every": ((0, 17), 43, 5),
+}
+
+
+def _stride_problem(firsts):
+    rng = np.random.default_rng(11)
+    n = 6
+    S = rng.standard_normal((n, n))
+    S *= 0.95 / np.abs(np.linalg.eigvals(S)).max()
+    segments = [(k, rng.standard_normal(n)) for k in firsts]
+    return S, segments, rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("firsts, n_steps, every", STRIDE_CASES.values(),
+                         ids=STRIDE_CASES.keys())
+def test_stride_matches_single_steps(firsts, n_steps, every):
+    from hmg.sim import _propagate
+
+    S, segments, x0 = _stride_problem(firsts)
+    got = _propagate(S, segments, x0, n_steps, every)
+    ref = _propagate(S, segments, x0, n_steps, 1)[::every]
+    assert got.shape == ref.shape == (n_steps // every + 1, len(x0))
+    scale = np.abs(ref).max(axis=0)
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("case", STRIDE_CASES.values(), ids=STRIDE_CASES.keys())
+def test_every_step_is_the_plain_affine_loop(case):
+    from hmg.sim import _propagate
+
+    firsts, n_steps, _ = case
+    S, segments, x0 = _stride_problem(firsts)
+    ref = [x0]
+    x = x0
+    for k in range(n_steps):
+        drive = [d for first, d in segments if first <= k][-1]
+        x = S @ x + drive
+        ref.append(x)
+    assert np.array_equal(_propagate(S, segments, x0, n_steps, 1),
+                          np.array(ref))
+
+
+# ---------------------------------------------------------------------------
 # measurement
 # ---------------------------------------------------------------------------
 
@@ -245,6 +297,16 @@ def test_measure_constant_trace(cfg):
 def test_measure_rejects_off_grid_event(ref_trace):
     with pytest.raises(SimError):
         measure(ref_trace, 1.0037)
+
+
+def test_measure_rejects_second_load_change_within_rate_sample(cfg):
+    # the DC step at 1.005 s acts inside the 10 ms sample after the AC step
+    sc = Scenario(horizon_s=3.0, step_s=1e-4, output_every=100,
+                  events=(Event(1.0, "ac", 12e3), Event(1.005, "dc", 14e3)))
+    trace = run(sc, cfg)
+    with pytest.raises(SimError, match=r"\(1, 1\.01\] s after the event at "
+                       r"t=1 s"):
+        measure(trace, 1.0, require_settled=False)
 
 
 def test_measure_not_settled(cfg):
