@@ -9,7 +9,8 @@ significant digits.
 Exit codes: 0 success, 1 informational (design-report bound violation),
 2 configuration/usage error (including an unmeasurable scenario and any
 circuit-model or transfer-function error), 3 numerical divergence
-(including an unstable one-step map and a singular nodal system).
+(including an unstable one-step map and a nodal solve that fails its
+residual gate).
 """
 
 from __future__ import annotations

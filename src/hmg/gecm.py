@@ -16,9 +16,13 @@ system G V = I_P with rows ordered (AC, DS, DC):
     [ -T_ac/Z2            y_ds + T_ds/Z1+T_ds/Z2 -T_dc/Z1   ]
     [ 0                   -T_ds/Z1               y_dc + T_dc/Z1 ]
 
-where y_x = 1/Z_x. Solving by Cramer's rule over polynomials (no pole/zero
-cancellation anywhere) yields the deviation responses; a back-substitution
-residual gates every solve.
+where y_x = 1/Z_x. The solve realizes each Z_x, T_x and 1/Z_ILCn as its
+own low-order state-space block and closes these relations into one model
+x' = A x + B P_L whose rows C read the deviations. Every Z_x is strictly
+proper, so V_x is a function of the state and the interconnection has no
+algebraic loop. The poles are the eigenvalues of A; a response is one
+complex solve with sI - A. The residual of G(s) V(s) = I_P, with G
+assembled independently over rational functions, gates every solve.
 
 The module also carries the closed-form full-system results: the
 capacity-weighted global inertia, predicted rates of change, steady
@@ -29,7 +33,7 @@ transfer functions used for inertia analysis and Bode studies.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,20 +41,22 @@ from .ilc import ConcatenatorSpec, IlcSpec, concatenator_tf, ilc_equivalent_impe
 from .lti import (
     Polynomial,
     RationalTF,
-    poly,
-    poly_add,
-    poly_mul,
+    poly_mul,  # noqa: F401  perfbench/spans.py counts calls through it (ROADMAP item 2)
     tf,
     tf_add,
     tf_eval,
     tf_reciprocal,
     tf_scale,
     tf_series,
+    tf_to_statespace,
 )
-from .subgrid import SubgridSpec, build_open_loop_tf
+from .subgrid import AC, DC, DS, KINDS, SubgridSpec, build_open_loop_tf
 
 RESIDUAL_TOL = 1e-6
 BODE_POINTS = 300  # default Bode grid, log-spaced over 1e-4..1e4 rad/s
+
+# perfbench/spans.py imports this and indexes it with freq_scale (ROADMAP item 2).
+FREQ_SCALE_CANDIDATES = (1.0,)
 
 
 class GecmError(Exception):
@@ -58,12 +64,15 @@ class GecmError(Exception):
 
 
 class SingularSystem(GecmError):
-    """Nodal determinant vanishes, or the solve fails its residual gate."""
+    """The nodal solve fails its residual gate."""
 
 
 @dataclass(frozen=True)
 class GecmSystem:
-    """Branch impedances, couplings and load injections on the global base."""
+    """Branch impedances, couplings and load injections on the global base.
+
+    z_ilc1 and z_ilc2 are None when no converter couples the branches.
+    """
 
     z_ac: RationalTF
     z_dc: RationalTF
@@ -71,8 +80,8 @@ class GecmSystem:
     t_ac: RationalTF
     t_dc: RationalTF
     t_ds: RationalTF
-    z_ilc1: RationalTF
-    z_ilc2: RationalTF
+    z_ilc1: RationalTF | None
+    z_ilc2: RationalTF | None
     p_lac_gpu: float
     p_ldc_gpu: float
     p_lds_gpu: float
@@ -81,8 +90,9 @@ class GecmSystem:
     def validate(self) -> None:
         for name in ("z_ac", "z_dc", "z_ds"):
             z = getattr(self, name)
-            if not z.is_proper:
-                raise GecmError(f"{name} is improper")
+            if z.relative_degree < 1:
+                raise GecmError(f"{name} is not strictly proper: its feedthrough "
+                                "would close an algebraic loop")
             poles = z.den.roots()
             if np.any(poles.real >= 0.0):
                 raise GecmError(f"{name} has non-stable poles {poles}")
@@ -92,44 +102,43 @@ class GecmSystem:
 class NodalSolution:
     """Per-unit deviation responses to the configured step injections.
 
-    Each field F satisfies deviation(s) = F(s)/s for the simultaneous load
-    steps stored in the GecmSystem; the residual is the worst relative
-    back-substitution error over the verification grid.
-
-    The Cramer arithmetic runs in the scaled variable sigma = s/freq_scale,
-    which keeps the high-degree polynomial coefficients in a narrow range;
-    eval_channel and realize_channel use that representation (the plain
-    fields are the reconstructed s-domain rationals).
+    x' = A x + b u is the circuit driven by u, a unit step of the loads
+    stored in the GecmSystem (b = B P_L); row i of C reads the deviation of
+    KINDS[i]. Each channel F(s) = C_x (sI - A)^-1 b satisfies
+    deviation(s) = F(s)/s. The residual is the worst relative error of
+    G(s) V(s) = I_P over the verification points.
     """
 
-    delta_f_pu: RationalTF
-    delta_vdc_pu: RationalTF
-    delta_vds_pu: RationalTF
+    A: np.ndarray
+    b: np.ndarray
+    C: np.ndarray
     residual: float
-    freq_scale: float
-    scaled: tuple  # (ac, ds, dc) responses in the sigma variable
+    # traced perfbench runs look this up in FREQ_SCALE_CANDIDATES (ROADMAP item 2)
+    freq_scale = 1.0
 
-    def channel(self, kind: str) -> RationalTF:
-        return {"ac": self.delta_f_pu, "dc": self.delta_vdc_pu,
-                "ds": self.delta_vds_pu}[kind]
-
-    def _scaled_channel(self, kind: str) -> RationalTF:
-        return self.scaled[{"ac": 0, "ds": 1, "dc": 2}[kind]]
+    def responses(self, s: complex) -> np.ndarray:
+        """F(s) of every channel, in KINDS order."""
+        m = s * np.eye(len(self.b)) - self.A
+        return self.C @ np.linalg.solve(m, self.b.astype(complex))
 
     def eval_channel(self, kind: str, s: complex) -> complex:
-        """deviation(s)*s, evaluated through the conditioned representation."""
-        return tf_eval(self._scaled_channel(kind), s / self.freq_scale)
-
-    def realize_channel(self, kind: str):
-        """StateSpace of the response TF (input: unit step of the loads)."""
-        from .lti import StateSpace, tf_to_statespace
-
-        ss = tf_to_statespace(self._scaled_channel(kind))
-        a = self.freq_scale
-        return StateSpace(A=a * ss.A, B=a * ss.B, C=ss.C, D=ss.D)
+        """deviation(s)*s = C_x (sI - A)^-1 b."""
+        return complex(self.responses(s)[KINDS.index(kind)])
 
     def poles(self) -> np.ndarray:
-        return self.freq_scale * self.scaled[0].den.roots()
+        return np.linalg.eigvals(self.A)
+
+    def channel(self, kind: str) -> RationalTF:
+        """F(s) as a rational function, from characteristic polynomials:
+        C_x (sI - A)^-1 b = (det(sI - A + b C_x) - det(sI - A))/det(sI - A)."""
+        den = np.poly(self.A)
+        num = np.poly(self.A - np.outer(self.b, self.C[KINDS.index(kind)])) - den
+        return RationalTF(Polynomial(tuple(num[::-1])), Polynomial(tuple(den[::-1])))
+
+    # perfbench `analyze` and `hmg bode f_closed` compose these (ROADMAP item 2)
+    delta_f_pu = property(lambda self: self.channel(AC))
+    delta_vdc_pu = property(lambda self: self.channel(DC))
+    delta_vds_pu = property(lambda self: self.channel(DS))
 
 
 def global_capacity(specs: tuple[SubgridSpec, SubgridSpec, SubgridSpec]) -> float:
@@ -156,11 +165,12 @@ def build_gecm(
     ac: SubgridSpec,
     dc: SubgridSpec,
     ds: SubgridSpec,
-    ilc: IlcSpec,
+    ilc: IlcSpec | None,
     cspec: ConcatenatorSpec | None,
     loads_w: tuple[float, float, float],
 ) -> GecmSystem:
-    """Assemble the full circuit model; cspec None means unity concatenators."""
+    """Assemble the full circuit model; ilc None means no converter, cspec
+    None unity concatenators."""
     z_ac, z_dc, z_ds = build_branch_impedances(ac, dc, ds)
     if cspec is None:
         unity = tf([1.0], [1.0])
@@ -169,7 +179,7 @@ def build_gecm(
         t_ac = concatenator_tf(cspec, "ac")
         t_dc = concatenator_tf(cspec, "dc")
         t_ds = concatenator_tf(cspec, "ds")
-    z1, z2 = ilc_equivalent_impedances(ilc)
+    z1, z2 = (None, None) if ilc is None else ilc_equivalent_impedances(ilc)
     p_g = global_capacity((ac, dc, ds))
     return GecmSystem(
         z_ac=z_ac, z_dc=z_dc, z_ds=z_ds,
@@ -184,16 +194,16 @@ def build_gecm(
 
 def assemble_admittance(sys: GecmSystem) -> list[list[RationalTF]]:
     """3x3 nodal admittance matrix over rational functions, rows (AC, DS, DC)."""
+    zero = tf([0.0], [1.0])
     y_ac = tf_reciprocal(sys.z_ac)
     y_dc = tf_reciprocal(sys.z_dc)
     y_ds = tf_reciprocal(sys.z_ds)
-    g1 = tf_reciprocal(sys.z_ilc1)
-    g2 = tf_reciprocal(sys.z_ilc2)
+    g1, g2 = (zero, zero) if sys.z_ilc1 is None else (
+        tf_reciprocal(sys.z_ilc1), tf_reciprocal(sys.z_ilc2))
     tac_g2 = tf_series(sys.t_ac, g2)
     tds_g2 = tf_series(sys.t_ds, g2)
     tds_g1 = tf_series(sys.t_ds, g1)
     tdc_g1 = tf_series(sys.t_dc, g1)
-    zero = tf([0.0], [1.0])
     return [
         [tf_add(y_ac, tac_g2), tf_scale(tds_g2, -1.0), zero],
         [
@@ -205,161 +215,77 @@ def assemble_admittance(sys: GecmSystem) -> list[list[RationalTF]]:
     ]
 
 
-def _poly_det3(m: list[list[Polynomial]]) -> Polynomial:
-    def mul3(a, b, c):
-        return poly_mul(poly_mul(a, b), c)
+def _interconnect(sys: GecmSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, C) of x' = A x + B P_L, with B's columns and C's rows in KINDS order.
 
-    pos = poly_add(
-        poly_add(mul3(m[0][0], m[1][1], m[2][2]), mul3(m[0][1], m[1][2], m[2][0])),
-        mul3(m[0][2], m[1][0], m[2][1]),
-    )
-    neg = poly_add(
-        poly_add(mul3(m[0][2], m[1][1], m[2][0]), mul3(m[0][0], m[1][2], m[2][1])),
-        mul3(m[0][1], m[1][0], m[2][2]),
-    )
-    return poly_add(pos, neg.scaled(-1.0))
-
-
-def _polynomial_matrix(sys: GecmSystem) -> tuple[list[list[Polynomial]], Polynomial]:
-    """Admittance matrix scaled onto one shared polynomial denominator.
-
-    Returns (P, D) with G = P/D entrywise. D is assembled from the factor
-    structure of the entries, so every P_ij is a pure product of known
-    polynomials; no polynomial division is performed anywhere.
+    The branches Z_x are driven by their output powers P_ox; with a
+    converter, the concatenators T_x by V_x and the couplings 1/Z_ILCn by
+    the concatenated differences. Each block's output is a row over x.
     """
-    y_ac = tf_reciprocal(sys.z_ac)
-    y_ds = tf_reciprocal(sys.z_ds)
-    y_dc = tf_reciprocal(sys.z_dc)
-    g1 = tf_reciprocal(sys.z_ilc1)
-    g2 = tf_reciprocal(sys.z_ilc2)
-    if g1.den.coeffs != g2.den.coeffs:
-        raise GecmError("coupling impedances must share their pole structure")
-    if not (sys.t_ac.den.coeffs == sys.t_dc.den.coeffs == sys.t_ds.den.coeffs):
-        raise GecmError("concatenators must share their cutoff denominator")
-    f_c = sys.t_ac.den          # (s + w0), or 1 for unity concatenators
-    f_s = g1.den                # s, the coupling-impedance zero
-    tau_ac, tau_dc, tau_ds = sys.t_ac.num, sys.t_dc.num, sys.t_ds.num
-    gam1, gam2 = g1.num, g2.num
+    blocks = [tf_to_statespace(z) for z in (sys.z_ac, sys.z_dc, sys.z_ds)]
+    if sys.z_ilc1 is not None:
+        blocks += [tf_to_statespace(t) for t in (sys.t_ac, sys.t_dc, sys.t_ds)]
+        blocks += [tf_to_statespace(tf_reciprocal(z))
+                   for z in (sys.z_ilc1, sys.z_ilc2)]
+    ends = np.cumsum([b.order for b in blocks])
+    n = int(ends[-1])
+    spans = [slice(e - b.order, e) for b, e in zip(blocks, ends)]
 
-    d_branches = poly_mul(poly_mul(y_ac.den, y_ds.den), y_dc.den)
-    d_coupling = poly_mul(f_c, f_s)
-    d_common = poly_mul(d_branches, d_coupling)
+    def output(k: int, drive: np.ndarray) -> np.ndarray:
+        row = blocks[k].D * drive
+        row[spans[k]] += blocks[k].C
+        return row
 
-    def branch_term(y, other1, other2):
-        # y.num * (D / y.den) = y.num * other1.den * other2.den * Fc * Fs
-        comp = poly_mul(poly_mul(other1.den, other2.den), d_coupling)
-        return poly_mul(y.num, comp)
-
-    def coupling_term(tau, gam, sign):
-        # tau*gam/(Fc*Fs) * D = tau * gam * (product of branch dens)
-        return poly_mul(poly_mul(tau, gam), d_branches).scaled(sign)
-
-    zero = poly(0.0)
-    p00 = poly_add(branch_term(y_ac, y_ds, y_dc), coupling_term(tau_ac, gam2, 1.0))
-    p01 = coupling_term(tau_ds, gam2, -1.0)
-    p10 = coupling_term(tau_ac, gam2, -1.0)
-    p11 = poly_add(
-        branch_term(y_ds, y_ac, y_dc),
-        coupling_term(tau_ds, poly_add(gam1, gam2), 1.0),
-    )
-    p12 = coupling_term(tau_dc, gam1, -1.0)
-    p21 = coupling_term(tau_ds, gam1, -1.0)
-    p22 = poly_add(branch_term(y_dc, y_ac, y_ds), coupling_term(tau_dc, gam1, 1.0))
-    return [[p00, p01, zero], [p10, p11, p12], [zero, p21, p22]], d_common
-
-
-# Candidate frequency scales for the Cramer arithmetic; tried in order until
-# the residual gate is satisfied. 10 rad/s sits at the geometric center of
-# the reference system's pole spread.
-FREQ_SCALE_CANDIDATES = (10.0, 30.0, 3.0, 100.0, 1.0)
-
-
-def _scale_tf(f: RationalTF, alpha: float) -> RationalTF:
-    """F(alpha*sigma): coefficient of s^k picks up alpha^k."""
-    num = Polynomial(tuple(c * alpha ** k for k, c in enumerate(f.num.coeffs)))
-    den = Polynomial(tuple(c * alpha ** k for k, c in enumerate(f.den.coeffs)))
-    return RationalTF(num, den)
-
-
-def _unscale_tf(f: RationalTF, alpha: float) -> RationalTF:
-    return _scale_tf(f, 1.0 / alpha)
+    zero = np.zeros(n)
+    v = [output(k, zero) for k in range(3)]  # strictly proper: no feedthrough
+    p1 = p2 = zero
+    drives = []
+    if sys.z_ilc1 is not None:
+        c = [output(3 + k, v[k]) for k in range(3)]
+        e = [c[1] - c[2], c[0] - c[2]]       # the numerators of p1 and p2
+        p1, p2 = output(6, e[0]), output(7, e[1])
+        drives = v + e
+    p_o = [-p2, -p1, p1 + p2]                # plus the loads P_L
+    A = np.zeros((n, n))
+    B = np.zeros((n, 3))
+    for k, drive in enumerate(p_o + drives):
+        A[spans[k], spans[k]] = blocks[k].A
+        A[spans[k]] += np.outer(blocks[k].B, drive)
+    for k in range(3):
+        B[spans[k], k] = blocks[k].B
+    return A, B, -np.array(v)
 
 
 def solve_nodal(sys: GecmSystem) -> NodalSolution:
-    """Cramer's-rule solution of G V = I_P over rational functions.
-
-    The entries are carried on one shared polynomial denominator, so each
-    V_k = D * sum_j cof_jk(P) I_j / det(P) is formed purely by polynomial
-    products, in a frequency-scaled variable to keep the coefficients
-    well-ranged. Back-substitution residuals of the solution against the
-    independently assembled rational admittance matrix gate the result.
+    """State-space solution of G V = I_P for the configured load steps.
 
     Raises
     ------
+    GecmError
+        When a branch impedance is not strictly proper or not stable.
     SingularSystem
-        When the determinant vanishes identically or no frequency scaling
-        brings the back-substitution residual below RESIDUAL_TOL.
+        When the residual of G(s) V(s) = I_P exceeds RESIDUAL_TOL.
     """
-    from dataclasses import replace
-
-    g = assemble_admittance(sys)
-    injections = (sys.p_lac_gpu, sys.p_lds_gpu, sys.p_ldc_gpu)
-    failure: Exception | None = None
-    for alpha in FREQ_SCALE_CANDIDATES:
-        scaled_sys = replace(
-            sys,
-            z_ac=_scale_tf(sys.z_ac, alpha), z_dc=_scale_tf(sys.z_dc, alpha),
-            z_ds=_scale_tf(sys.z_ds, alpha), t_ac=_scale_tf(sys.t_ac, alpha),
-            t_dc=_scale_tf(sys.t_dc, alpha), t_ds=_scale_tf(sys.t_ds, alpha),
-            z_ilc1=_scale_tf(sys.z_ilc1, alpha),
-            z_ilc2=_scale_tf(sys.z_ilc2, alpha),
+    sys.validate()
+    A, B, C = _interconnect(sys)
+    b = B @ np.array([sys.p_lac_gpu, sys.p_ldc_gpu, sys.p_lds_gpu])
+    sol = NodalSolution(A=A, b=b, C=C, residual=float("nan"))
+    residual = _back_substitution_residual(sys, sol)
+    if not residual <= RESIDUAL_TOL:
+        raise SingularSystem(
+            f"back-substitution residual {residual:.2e} exceeds {RESIDUAL_TOL}"
         )
-        p, d_common = _polynomial_matrix(scaled_sys)
-        det_p = _poly_det3(p)
-        if det_p.is_zero:
-            raise SingularSystem("nodal determinant is identically zero")
-        responses = []
-        for k in range(3):
-            acc = poly(0.0)
-            for j, inj in enumerate(injections):
-                if inj == 0.0:
-                    continue
-                acc = poly_add(acc, _cofactor(p, j, k).scaled(inj))
-            responses.append(RationalTF(poly_mul(d_common, acc), det_p))
-        # node voltages are the negated deviations
-        deltas_scaled = tuple(tf_scale(v, -1.0) for v in responses)
-        residual = _back_substitution_residual(g, deltas_scaled, alpha, injections)
-        if residual <= RESIDUAL_TOL:
-            deltas = [_unscale_tf(f, alpha) for f in deltas_scaled]
-            return NodalSolution(
-                delta_f_pu=deltas[0], delta_vds_pu=deltas[1],
-                delta_vdc_pu=deltas[2], residual=residual,
-                freq_scale=alpha, scaled=deltas_scaled,
-            )
-        failure = SingularSystem(
-            f"back-substitution residual {residual:.2e} exceeds "
-            f"{RESIDUAL_TOL} (freq scale {alpha})"
-        )
-    raise failure
+    return replace(sol, residual=residual)
 
 
-def _cofactor(p: list[list[Polynomial]], row: int, col: int) -> Polynomial:
-    rows = [r for r in range(3) if r != row]
-    cols = [c for c in range(3) if c != col]
-    a = p[rows[0]][cols[0]]
-    b = p[rows[0]][cols[1]]
-    c = p[rows[1]][cols[0]]
-    d = p[rows[1]][cols[1]]
-    minor = poly_add(poly_mul(a, d), poly_mul(b, c).scaled(-1.0))
-    return minor if (row + col) % 2 == 0 else minor.scaled(-1.0)
-
-
-def _back_substitution_residual(g, deltas_scaled, alpha, injections) -> float:
+def _back_substitution_residual(sys: GecmSystem, sol: NodalSolution) -> float:
     """Worst relative residual of G(s) V(s) = I over the verification grid.
 
-    V_j = -delta_j, with the deviations evaluated through their scaled
-    representation at sigma = s/alpha.
+    G is assembled over rational functions, rows (AC, DS, DC), and
+    V_j = -deviation_j comes from the state-space solution.
     """
+    g = assemble_admittance(sys)
+    injections = (sys.p_lac_gpu, sys.p_lds_gpu, sys.p_ldc_gpu)
     rng = np.random.default_rng(1234)
     points = [1j * w for w in (0.01, 1.0, 100.0)]
     points += [complex(rng.normal(), rng.normal()) * 10.0 for _ in range(7)]
@@ -367,7 +293,7 @@ def _back_substitution_residual(g, deltas_scaled, alpha, injections) -> float:
     for s in points:
         g_vals = [[tf_eval(e, s) if not e.num.is_zero else 0.0 for e in row]
                   for row in g]
-        v_vals = [-tf_eval(t, s / alpha) for t in deltas_scaled]
+        v_vals = -sol.responses(s)[[0, 2, 1]]  # KINDS order to rows (AC, DS, DC)
         for i in range(3):
             lhs = sum(g_vals[i][j] * v_vals[j] for j in range(3))
             scale = max(
@@ -376,7 +302,7 @@ def _back_substitution_residual(g, deltas_scaled, alpha, injections) -> float:
                 1e-30,
             )
             worst = max(worst, abs(lhs - injections[i]) / scale)
-    return worst
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------

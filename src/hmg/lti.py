@@ -206,7 +206,8 @@ def tf_eval(f: RationalTF, s: complex) -> complex:
 class StateSpace:
     """Controllable-canonical realization; dx/dt = A x + B u, y = C x + D u.
 
-    A is (n, n); B and C are flat length-n vectors; D is a scalar.
+    A is (n, n); B and C are flat length-n vectors (C is (p, n) for p
+    outputs); D is a scalar.
     """
 
     A: np.ndarray

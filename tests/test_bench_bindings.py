@@ -38,3 +38,19 @@ def test_traced_simulate_records_span_attributes(monkeypatch, tmp_path, capsys):
     assert attrs["sim.run"] == {"steps": 30_000}
     assert attrs["sim.write_trace_csv"] == {
         "rows": 301, "bytes": (out_dir / "trace.csv").stat().st_size}
+
+
+def test_traced_sweep_records_nodal_span_attributes(monkeypatch, tmp_path):
+    # `scale_retries` indexes gecm.FREQ_SCALE_CANDIDATES with the solution's
+    # freq_scale; only a traced run reads either name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import workloads
+
+    sweep = workloads.Sweep(REPO, tmp_path)
+    sweep.prepare(1)
+    with spans.Tracer().installed() as tracer:
+        result = sweep.op(0)
+    nodal = [a for name, *_, a in tracer.spans if name == "gecm.solve_nodal"]
+    assert nodal == [{"scale_retries": 0}] * 2  # cross-check and analysis
+    assert sweep.check(0, result)["nodal_residual_max"] <= 1e-12

@@ -424,6 +424,24 @@ def test_cli_bode_transfer_function_error_exit2(tmp_path, monkeypatch, caplog):
     assert "denominator vanishes at s=1j" in caplog.text
 
 
+def test_cli_bode_biproper_branch_exit2(tmp_path, monkeypatch, caplog):
+    from dataclasses import replace
+
+    import hmg.cli
+    from hmg.lti import tf
+
+    build_gecm = hmg.cli.build_gecm
+
+    def biproper(*args):  # Z_dc = (s + 2)/(s + 1)
+        return replace(build_gecm(*args), z_dc=tf([2.0, 1.0], [1.0, 1.0]))
+
+    monkeypatch.setattr(hmg.cli, "build_gecm", biproper)
+    out = tmp_path / "f.csv"
+    assert main(["bode", "f_closed", "--config", str(TABLE1),
+                 "--out", str(out)]) == 2
+    assert "z_dc is not strictly proper" in caplog.text
+
+
 def test_cli_bode_singular_nodal_system_exit3(tmp_path, monkeypatch, caplog):
     import hmg.cli
     from hmg.gecm import SingularSystem
