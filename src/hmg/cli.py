@@ -175,7 +175,8 @@ def _bode_tf(loaded: LoadedRun, target: str):
         return ideal_global_deviation_tf(specs, used, target[2:-1])
     # f_closed: absolute AC frequency in Hz for the first load-step group
     used = cspec if loaded.toggles.concatenator_enabled else None
-    sys_ = build_gecm(*specs, cfg.ilc, used, loaded.scenario().first_group_w())
+    ilc = cfg.ilc if loaded.toggles.ilc_enabled else None
+    sys_ = build_gecm(*specs, ilc, used, loaded.scenario().first_group_w())
     sol = solve_nodal(sys_)
     dev = tf_series(sol.delta_f_pu, tf([1.0], [0.0, 1.0]))
     x_abs = restored_absolute_tf(dev, specs[0],

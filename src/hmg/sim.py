@@ -6,11 +6,14 @@ linear discrete update, and the only exogenous inputs are the (piecewise
 constant) load powers. The engine therefore precomputes, per block, the
 exact one-step RK4 map for inputs held constant over the step, chains it
 with the algebraic coupling relations evaluated at the step start, and
-advances the composed affine map x+ = S x + T u; between load changes one
-power of that map advances a whole output sample. This is algebraically
-identical to stepping every block by classical RK4 under held inputs, and
-fast enough for sub-millisecond steps over long horizons.
-A map whose spectral radius is not below 1 is rejected at assembly.
+advances the composed affine map x+ = S x + T u. Between load changes one
+power of that map advances a whole output sample, and one batched product
+with the stacked powers advances up to _BLOCK_SAMPLES samples at once. This
+is algebraically identical to stepping every block by classical RK4 under
+held inputs (it differs by round-off only), and fast enough for
+sub-millisecond steps over long horizons, recorded at every step or not.
+A map whose spectral radius is not below 1 is rejected at assembly, with
+the largest stable step named.
 
 Coupling sign conventions (converter powers in watts on the global base):
 
@@ -270,6 +273,36 @@ class _Engine:
         return X[:, [start, start + 2, start + 4]]
 
 
+def _spectral_radius(S: np.ndarray) -> float:
+    return float(np.abs(np.linalg.eigvals(S)).max())
+
+
+# Search for the largest stable step, run only when a step is rejected:
+# halvings tried below the rejected step, then geometric bisection down to
+# this relative bracket width (~11 re-assemblies on table1).
+_STABLE_STEP_HALVINGS = 20
+_STABLE_STEP_RTOL = 1e-3
+
+
+def _stable_step_note(config: HybridConfig, toggles: Toggles, h: float) -> str:
+    """Name the largest step below h whose one-step map is a contraction."""
+    def stable(step):
+        return _spectral_radius(_Engine(config, toggles, step).S) < 1.0
+
+    hi, lo = h, h / 2
+    while not stable(lo):
+        if lo <= h * 2.0 ** -_STABLE_STEP_HALVINGS:
+            return f"no step down to {lo:.3g} s is stable"
+        hi, lo = lo, lo / 2
+    while hi > lo * (1.0 + _STABLE_STEP_RTOL):
+        mid = (lo * hi) ** 0.5
+        if stable(mid):
+            lo = mid
+        else:
+            hi = mid
+    return f"the largest stable step is about {lo:.4g} s"
+
+
 def _schedule(scenario: Scenario) -> list[tuple[int, np.ndarray]]:
     """Load segments (first step, loads in watts): a load step at time t
     acts from step `scenario.step_of(t)` on."""
@@ -282,6 +315,13 @@ def _schedule(scenario: Scenario) -> list[tuple[int, np.ndarray]]:
     return segments
 
 
+# Whole output samples written per batched product: the stack of the first
+# _BLOCK_SAMPLES powers of the per-sample map is built once per load segment.
+# Of 16-256, 64 ran `run` fastest on the benchmark inputs (2 cores): more
+# samples per product cost more doubling per segment than they save.
+_BLOCK_SAMPLES = 64
+
+
 def _propagate(S: np.ndarray, segments, x0: np.ndarray, n_steps: int,
                every: int) -> np.ndarray:
     """Iterate x+ = S x + d over n_steps steps from x0.
@@ -290,11 +330,14 @@ def _propagate(S: np.ndarray, segments, x0: np.ndarray, n_steps: int,
     the next segment's. Returns the states at steps 0, every, 2*every, ...,
     shape (n_steps // every + 1, len(x0)).
 
-    Within a segment a whole output sample is one application of
-    [[S, d], [0, 1]]**every (Van Loan's augmented map); single steps are
-    taken only from a segment boundary up to the next sample, and from the
-    last whole sample up to the next boundary. With every == 1 this is
-    x = S x + d, bit for bit.
+    Within a segment one output sample is one application of
+    P = [[S, d], [0, 1]]**every (Van Loan's augmented map). The stack P,
+    P**2, ..., P**_BLOCK_SAMPLES is built by doubling, and each run of up
+    to _BLOCK_SAMPLES whole samples is one product of that stack with
+    [x; 1] (the chunked form of an affine-recurrence scan). Single steps
+    are taken only from a segment boundary up to the next sample, and from
+    the last whole sample up to the next boundary. The result differs from
+    the plain loop x = S x + d by round-off only.
     """
     n = len(x0)
     X = np.empty((n_steps // every + 1, n))
@@ -303,24 +346,41 @@ def _propagate(S: np.ndarray, segments, x0: np.ndarray, n_steps: int,
     ends = [first for first, _ in segments[1:]] + [n_steps]
     for (_, d), k_end in zip(segments, ends):
         k_end = min(k_end, n_steps)
-        A = np.eye(n + 1)
-        A[:n, :n] = S
-        A[:n, n] = d
-        P = np.linalg.matrix_power(A, every)
-        S_every, d_every = P[:n, :n].copy(), P[:n, n].copy()
         for _ in range(min(-k % every, k_end - k)):  # up to the next sample
             x = S @ x + d
             k += 1
         if k % every == 0:
             X[k // every] = x
-        for _ in range((k_end - k) // every):         # whole samples
-            x = S_every @ x + d_every
-            k += every
-            X[k // every] = x
+        m = (k_end - k) // every                      # whole samples
+        if m:
+            A = np.eye(n + 1)
+            A[:n, :n] = S
+            A[:n, n] = d
+            Q = _powers(np.linalg.matrix_power(A, every),
+                        min(m, _BLOCK_SAMPLES))
+            j, j_end = k // every, k // every + m
+            while j < j_end:
+                b = min(len(Q), j_end - j)
+                X[j + 1:j + b + 1] = (Q[:b] @ np.append(x, 1.0))[:, :n]
+                j += b
+                x = X[j]
+            k += m * every
         for _ in range(k_end - k):                    # up to the boundary
             x = S @ x + d
             k += 1
     return X
+
+
+def _powers(P: np.ndarray, count: int) -> np.ndarray:
+    """P, P**2, ..., P**count stacked on axis 0, by repeated doubling."""
+    Q = np.empty((count,) + P.shape)
+    Q[0] = P
+    have = 1
+    while have < count:
+        step = min(have, count - have)
+        Q[have:have + step] = Q[:step] @ Q[have - 1]
+        have += step
+    return Q
 
 
 def run(scenario: Scenario, config: HybridConfig) -> SimTrace:
@@ -342,11 +402,11 @@ def run(scenario: Scenario, config: HybridConfig) -> SimTrace:
     h = scenario.step_s
     every = scenario.output_every
     eng = _Engine(config, scenario.toggles, h)
-    rho = float(np.abs(np.linalg.eigvals(eng.S)).max())
+    rho = _spectral_radius(eng.S)
     if not rho < 1.0:
         raise NumericalDivergence(
             f"one-step map unstable at step {h:g} s: spectral radius "
-            f"{rho:.7g} >= 1"
+            f"{rho:.7g} >= 1; {_stable_step_note(config, scenario.toggles, h)}"
         )
     n_steps = int(round(scenario.horizon_s / h))
     segments = _schedule(scenario)

@@ -11,6 +11,8 @@ and one scalar state at a time, exactly as the paper states them.
   restoration PI in velocity form.
 * ``IlcState`` / ``ilc_outputs`` / ``ilc_step`` -- the concatenators and
   the two-stage interlinking-converter power loop.
+* ``affine_loop`` -- the composed map iterated one step at a time, the
+  reference for the library's blocked propagator.
 * ``coeffs_close`` / ``tf_close`` -- tolerance comparison of polynomials and
   rational functions.
 """
@@ -42,6 +44,20 @@ def step_rk4(ss: StateSpace, x: np.ndarray, u: float, h: float) -> np.ndarray:
     k3 = A @ (x + 0.5 * h * k2) + bu
     k4 = A @ (x + h * k3) + bu
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def affine_loop(S: np.ndarray, segments, x0: np.ndarray,
+                n_steps: int) -> np.ndarray:
+    """States at steps 0..n_steps of x+ = S x + d, one step at a time.
+
+    Each (first step, d) segment holds its drive d from its first step on.
+    """
+    X = np.empty((n_steps + 1, len(x0)))
+    X[0] = x = x0
+    for k in range(n_steps):
+        d = [drive for first, drive in segments if first <= k][-1]
+        X[k + 1] = x = S @ x + d
+    return X
 
 
 def coeffs_close(a: Polynomial, b: Polynomial, tol: float = 1e-10) -> bool:

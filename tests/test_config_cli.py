@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -337,6 +338,40 @@ def test_cli_bode_f_closed_uses_first_load_step_group(tmp_path, table1_text,
     assert main(["bode", "f_closed", "--config", str(path), "--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_bode_f_closed_honours_ilc_toggle(tmp_path, table1_text,
+                                             monkeypatch, capsys):
+    import hmg.cli
+    from hmg.gecm import build_gecm
+
+    path = tmp_path / "no_ilc.cfg"
+    path.write_text(table1_text.replace("ilc = true", "ilc = false"))
+    on, off, ref = (tmp_path / f"{name}.csv" for name in ("on", "off", "ref"))
+    assert main(["bode", "f_closed", "--config", str(TABLE1), "--out", str(on)]) == 0
+    assert main(["bode", "f_closed", "--config", str(path), "--out", str(off)]) == 0
+    assert on.read_bytes() != off.read_bytes()
+
+    # the converter-free circuit model, forced on the ilc = true file
+    def no_converter(ac, dc, ds, ilc, cspec, loads_w):
+        return build_gecm(ac, dc, ds, None, cspec, loads_w)
+
+    monkeypatch.setattr(hmg.cli, "build_gecm", no_converter)
+    assert main(["bode", "f_closed", "--config", str(TABLE1), "--out", str(ref)]) == 0
+    capsys.readouterr()
+    assert off.read_bytes() == ref.read_bytes()
+
+
+def test_cli_simulate_unstable_step_names_largest_stable_step(
+        tmp_path, table1_text, caplog):
+    cfg = _short_config(tmp_path, table1_text,
+                        extra=(("step = 1e-4", "step = 5e-4"),
+                               ("output_every = 100", "output_every = 20")))
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 3
+    found = re.search(r"largest stable step is about ([0-9.e+-]+) s", caplog.text)
+    assert found, caplog.text
+    assert float(found.group(1)) == pytest.approx(4.83e-4, rel=0.01)
 
 
 def test_cli_bode_unknown_target_exit2(tmp_path, capsys):

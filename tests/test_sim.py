@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -131,6 +133,26 @@ def test_unstable_step_rejected_at_assembly(cfg, monkeypatch):
         run(sc, cfg)
 
 
+def test_unstable_step_names_largest_stable_step(cfg):
+    sc = Scenario(horizon_s=40.0, step_s=5e-4, events=REF_EVENTS,
+                  output_every=20)
+    with pytest.raises(NumericalDivergence, match="largest stable step") as exc:
+        run(sc, cfg)
+    step = re.search(r"about ([0-9.e+-]+) s", str(exc.value)).group(1)
+    assert float(step) == pytest.approx(4.83e-4, rel=0.01)
+
+
+def test_unstable_at_every_step_says_so(cfg, monkeypatch):
+    import hmg.sim
+
+    monkeypatch.setattr(hmg.sim, "_spectral_radius", lambda S: 1.5)
+    sc = Scenario(horizon_s=1.0, step_s=1e-4, events=REF_EVENTS)
+    with pytest.raises(NumericalDivergence,
+                       match=r"spectral radius 1\.5 >= 1; no step down to "
+                       r"9\.54e-11 s is stable"):
+        run(sc, cfg)
+
+
 def test_divergence_check_catches_non_finite_states(cfg, monkeypatch):
     import hmg.sim
 
@@ -234,42 +256,79 @@ STRIDE_CASES = {
 }
 
 
-def _stride_problem(firsts):
+def _stride_problem(firsts, rho=0.95):
     rng = np.random.default_rng(11)
     n = 6
     S = rng.standard_normal((n, n))
-    S *= 0.95 / np.abs(np.linalg.eigvals(S)).max()
+    S *= rho / np.abs(np.linalg.eigvals(S)).max()
     segments = [(k, rng.standard_normal(n)) for k in firsts]
     return S, segments, rng.standard_normal(n)
 
 
-@pytest.mark.parametrize("firsts, n_steps, every", STRIDE_CASES.values(),
-                         ids=STRIDE_CASES.keys())
-def test_stride_matches_single_steps(firsts, n_steps, every):
+def _assert_plain_loop(S, segments, x0, n_steps, every):
+    # the blocked propagator against x = S x + d stepped one step at a time
     from hmg.sim import _propagate
+    from oracle import affine_loop
 
-    S, segments, x0 = _stride_problem(firsts)
     got = _propagate(S, segments, x0, n_steps, every)
-    ref = _propagate(S, segments, x0, n_steps, 1)[::every]
+    ref = affine_loop(S, segments, x0, n_steps)[::every]
     assert got.shape == ref.shape == (n_steps // every + 1, len(x0))
     scale = np.abs(ref).max(axis=0)
     assert np.all(np.abs(got - ref) <= 1e-12 * scale)
 
 
+@pytest.mark.parametrize("firsts, n_steps, every", STRIDE_CASES.values(),
+                         ids=STRIDE_CASES.keys())
+def test_stride_matches_single_steps(firsts, n_steps, every):
+    S, segments, x0 = _stride_problem(firsts)
+    _assert_plain_loop(S, segments, x0, n_steps, every)
+
+
 @pytest.mark.parametrize("case", STRIDE_CASES.values(), ids=STRIDE_CASES.keys())
 def test_every_step_is_the_plain_affine_loop(case):
-    from hmg.sim import _propagate
-
     firsts, n_steps, _ = case
     S, segments, x0 = _stride_problem(firsts)
-    ref = [x0]
-    x = x0
-    for k in range(n_steps):
-        drive = [d for first, d in segments if first <= k][-1]
-        x = S @ x + drive
-        ref.append(x)
-    assert np.array_equal(_propagate(S, segments, x0, n_steps, 1),
-                          np.array(ref))
+    _assert_plain_loop(S, segments, x0, n_steps, 1)
+
+
+@pytest.mark.parametrize("every", (1, 5))
+@pytest.mark.parametrize("blocks", ((1, 0), (3, 5)), ids=("one", "three_plus_5"))
+def test_propagate_across_blocks(blocks, every):
+    # a first segment of exactly one block of whole samples, or of three
+    # blocks and a partial one; at rho = 0.999 the state carried from block
+    # to block still shows at the end
+    from hmg.sim import _BLOCK_SAMPLES
+
+    full, extra = blocks
+    samples = full * _BLOCK_SAMPLES + extra
+    firsts = (0, samples * every)
+    S, segments, x0 = _stride_problem(firsts, rho=0.999)
+    _assert_plain_loop(S, segments, x0, samples * every + 7, every)
+
+
+def test_dense_schedule_matches_affine_loop(cfg, monkeypatch):
+    # every step recorded over twelve load steps: segments of 3, exactly
+    # 64 and several hundred steps, each checked through the whole trace
+    import hmg.sim
+    from oracle import affine_loop
+
+    times = (0.05, 0.0503, 0.08, 0.1, 0.1064, 0.15, 0.2, 0.2641, 0.3, 0.35,
+             0.4, 0.45)
+    events = tuple(Event(t, ("ac", "dc", "ds")[i % 3], (1.5e3, -0.7e3)[i % 2])
+                   for i, t in enumerate(times))
+    sc = Scenario(horizon_s=0.5, step_s=1e-4, output_every=1, events=events,
+                  initial_loads_w=(8e3, 8e3, 8e3))
+    got = run(sc, cfg)
+    monkeypatch.setattr(
+        hmg.sim, "_propagate",
+        lambda S, segments, x0, n_steps, every:
+            affine_loop(S, segments, x0, n_steps)[::every])
+    want = run(sc, cfg)
+    assert len(got.t) == 5001
+    for name in TRACE_COLUMNS:
+        ref = want.column(name)
+        np.testing.assert_allclose(got.column(name), ref, rtol=1e-9,
+                                   atol=1e-9 * np.abs(ref).max(), err_msg=name)
 
 
 # ---------------------------------------------------------------------------
