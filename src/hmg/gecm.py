@@ -32,7 +32,6 @@ transfer functions used for inertia analysis and Bode studies.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,6 +52,20 @@ from .lti import (
 from .subgrid import AC, DC, DS, KINDS, SubgridSpec, build_open_loop_tf
 
 RESIDUAL_TOL = 1e-6
+
+# Where every solve checks G(s) V(s) = I: three points on the imaginary axis
+# and seven draws of 10 (N(0,1) + j N(0,1)) from numpy's default_rng(1234),
+# written out so that importing this module does not load numpy.random.
+RESIDUAL_POINTS = (
+    0.01j, 1j, 100j,
+    -16.038368053963016 + 0.6409991400376411j,
+    7.408912958767258 + 1.5261919356565308j,
+    8.637438913233318 + 29.130992225039712j,
+    -14.788233606644015 + 9.454729746458598j,
+    -16.661354573179644 + 3.4374458145267965j,
+    -5.124437092848577 + 13.23758956688572j,
+    -8.602801935850232 + 5.194931990183601j,
+)
 BODE_POINTS = 300  # default Bode grid, log-spaced over 1e-4..1e4 rad/s
 
 # perfbench/spans.py imports this and indexes it with freq_scale (ROADMAP item 2).
@@ -106,7 +119,7 @@ class NodalSolution:
     stored in the GecmSystem (b = B P_L); row i of C reads the deviation of
     KINDS[i]. Each channel F(s) = C_x (sI - A)^-1 b satisfies
     deviation(s) = F(s)/s. The residual is the worst relative error of
-    G(s) V(s) = I_P over the verification points.
+    G(s) V(s) = I_P over RESIDUAL_POINTS.
     """
 
     A: np.ndarray
@@ -116,10 +129,15 @@ class NodalSolution:
     # traced perfbench runs look this up in FREQ_SCALE_CANDIDATES (ROADMAP item 2)
     freq_scale = 1.0
 
-    def responses(self, s: complex) -> np.ndarray:
-        """F(s) of every channel, in KINDS order."""
-        m = s * np.eye(len(self.b)) - self.A
-        return self.C @ np.linalg.solve(m, self.b.astype(complex))
+    def responses(self, s) -> np.ndarray:
+        """F(s) of every channel, in KINDS order along the last axis.
+
+        An array of points is one batched solve over the stacked sI - A.
+        """
+        s = np.asarray(s, dtype=complex)
+        m = s[..., None, None] * np.eye(len(self.b)) - self.A
+        x = np.linalg.solve(m, self.b.astype(complex)[:, None])
+        return (self.C @ x)[..., 0]
 
     def eval_channel(self, kind: str, s: complex) -> complex:
         """deviation(s)*s = C_x (sI - A)^-1 b."""
@@ -279,30 +297,22 @@ def solve_nodal(sys: GecmSystem) -> NodalSolution:
 
 
 def _back_substitution_residual(sys: GecmSystem, sol: NodalSolution) -> float:
-    """Worst relative residual of G(s) V(s) = I over the verification grid.
+    """Worst relative residual of G(s) V(s) = I over RESIDUAL_POINTS.
 
     G is assembled over rational functions, rows (AC, DS, DC), and
-    V_j = -deviation_j comes from the state-space solution.
+    V_j = -deviation_j comes from the state-space solution. Each nonzero
+    entry of G is evaluated once over all the points.
     """
-    g = assemble_admittance(sys)
-    injections = (sys.p_lac_gpu, sys.p_lds_gpu, sys.p_ldc_gpu)
-    rng = np.random.default_rng(1234)
-    points = [1j * w for w in (0.01, 1.0, 100.0)]
-    points += [complex(rng.normal(), rng.normal()) * 10.0 for _ in range(7)]
-    worst = 0.0
-    for s in points:
-        g_vals = [[tf_eval(e, s) if not e.num.is_zero else 0.0 for e in row]
-                  for row in g]
-        v_vals = -sol.responses(s)[[0, 2, 1]]  # KINDS order to rows (AC, DS, DC)
-        for i in range(3):
-            lhs = sum(g_vals[i][j] * v_vals[j] for j in range(3))
-            scale = max(
-                abs(injections[i]),
-                max(abs(g_vals[i][j] * v_vals[j]) for j in range(3)),
-                1e-30,
-            )
-            worst = max(worst, abs(lhs - injections[i]) / scale)
-    return float(worst)
+    s = np.array(RESIDUAL_POINTS)
+    g_vals = np.array([[np.zeros(len(s)) if e.num.is_zero else tf_eval(e, s)
+                        for e in row] for row in assemble_admittance(sys)])
+    v_vals = -sol.responses(s)[:, [0, 2, 1]].T  # KINDS order to rows (AC, DS, DC)
+    injections = np.array([sys.p_lac_gpu, sys.p_lds_gpu, sys.p_ldc_gpu])[:, None]
+    terms = g_vals * v_vals  # terms[i, j] = G_ij V_j at every point
+    lhs = terms[:, 0] + terms[:, 1] + terms[:, 2]
+    scale = np.maximum(np.maximum(np.abs(injections), np.abs(terms).max(axis=1)),
+                       1e-30)
+    return float(np.max(np.abs(lhs - injections) / scale))
 
 
 # ---------------------------------------------------------------------------
@@ -403,19 +413,19 @@ def restored_absolute_tf(
 
 
 def bode_export(f: RationalTF, omega_grid) -> list[tuple[float, float, float]]:
-    """Magnitude (dB) and phase (deg) of f(jw) over an ascending grid."""
-    omegas = list(omega_grid)
-    if any(w <= 0.0 for w in omegas) or any(
-        b <= a for a, b in zip(omegas, omegas[1:])
-    ):
+    """Magnitude (dB) and phase (deg) of f(jw) over an ascending grid.
+
+    The whole grid is one evaluation of f; rows are (w, mag_db, phase_deg).
+    """
+    omegas = np.asarray(omega_grid, dtype=float)
+    if not np.isfinite(omegas).all():
+        raise GecmError("omega grid must be finite")
+    if (omegas <= 0.0).any() or (np.diff(omegas) <= 0.0).any():
         raise GecmError("omega grid must be positive and strictly ascending")
-    rows = []
-    for w in omegas:
-        val = tf_eval(f, 1j * w)
-        mag_db = 20.0 * np.log10(abs(val))
-        phase_deg = np.degrees(cmath.phase(val))
-        rows.append((w, float(mag_db), float(phase_deg)))
-    return rows
+    val = tf_eval(f, 1j * omegas)
+    mag_db = 20.0 * np.log10(np.abs(val))
+    phase_deg = np.degrees(np.angle(val))
+    return list(zip(omegas.tolist(), mag_db.tolist(), phase_deg.tolist()))
 
 
 def default_bode_grid() -> np.ndarray:

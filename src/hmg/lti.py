@@ -181,25 +181,31 @@ def tf_reciprocal(a: RationalTF) -> RationalTF:
     return RationalTF(a.den, a.num)
 
 
-def tf_eval(f: RationalTF, s: complex) -> complex:
-    """Evaluate num(s)/den(s) by Horner's rule.
+def tf_eval(f: RationalTF, s):
+    """Evaluate num(s)/den(s) by Horner's rule, elementwise over an array of s.
+
+    A scalar s gives a Python complex; an array gives a complex array of
+    its shape.
 
     Raises
     ------
     EvalAtPole
-        When |den(s)| is below the rounding scale of its own evaluation,
-        i.e. the point is numerically indistinguishable from a pole.
+        When |den(s)| is below the rounding scale of its own evaluation at
+        any point, i.e. that point is numerically indistinguishable from a
+        pole. The message names the first such point.
     """
-    s = complex(s)
+    s = np.asarray(s, dtype=complex)
     den_val = f.den(s)
     # rounding scale of the Horner evaluation at |s|
-    mag = abs(s)
+    mag = np.abs(s)
     scale = 0.0
     for c in reversed(f.den.coeffs):
         scale = scale * mag + abs(c)
-    if abs(den_val) < POLE_REL * max(scale, 1e-300):
-        raise EvalAtPole(f"denominator vanishes at s={s}")
-    return f.num(s) / den_val
+    at_pole = np.abs(den_val) < POLE_REL * np.maximum(scale, 1e-300)
+    if at_pole.any():
+        raise EvalAtPole(f"denominator vanishes at s={complex(s[at_pole][0])}")
+    val = f.num(s) / den_val
+    return complex(val) if s.ndim == 0 else val
 
 
 @dataclass(frozen=True)

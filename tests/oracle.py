@@ -15,6 +15,11 @@ and one scalar state at a time, exactly as the paper states them.
   reference for the library's blocked propagator.
 * ``coeffs_close`` / ``tf_close`` -- tolerance comparison of polynomials and
   rational functions.
+* ``tf_eval_point`` / ``back_substitution_residual`` -- transfer functions
+  and the nodal residual gate evaluated one frequency point at a time, the
+  reference for the library's whole-grid evaluation.
+* ``compute_lc`` / ``compute_rli`` -- the loading condition and relative
+  loading index of one subgrid.
 """
 
 from __future__ import annotations
@@ -23,8 +28,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from hmg.gecm import GecmSystem, NodalSolution, assemble_admittance
 from hmg.ilc import ConcatenatorSpec, IlcSpec, concatenator_tf
 from hmg.lti import (
+    POLE_REL,
+    EvalAtPole,
     Polynomial,
     RationalTF,
     StateSpace,
@@ -72,6 +80,70 @@ def coeffs_close(a: Polynomial, b: Polynomial, tol: float = 1e-10) -> bool:
 def tf_close(a: RationalTF, b: RationalTF, tol: float = 1e-10) -> bool:
     """Equality of normalized rational functions by cross-multiplication."""
     return coeffs_close(poly_mul(a.num, b.den), poly_mul(b.num, a.den), tol)
+
+
+# ---------------------------------------------------------------------------
+# frequency-domain evaluation, one point at a time
+# ---------------------------------------------------------------------------
+
+def tf_eval_point(f: RationalTF, s: complex) -> complex:
+    """num(s)/den(s) at one point by Horner's rule in Python complex
+    arithmetic, with the library's pole test."""
+    s = complex(s)
+    den_val = f.den(s)
+    mag = abs(s)
+    scale = 0.0
+    for c in reversed(f.den.coeffs):
+        scale = scale * mag + abs(c)
+    if abs(den_val) < POLE_REL * max(scale, 1e-300):
+        raise EvalAtPole(f"denominator vanishes at s={s}")
+    return f.num(s) / den_val
+
+
+def residual_points() -> list[complex]:
+    """The residual gate's ten points, drawn afresh from the gate's seed."""
+    rng = np.random.default_rng(1234)
+    points = [1j * w for w in (0.01, 1.0, 100.0)]
+    points += [complex(rng.normal(), rng.normal()) * 10.0 for _ in range(7)]
+    return points
+
+
+def back_substitution_residual(sys: GecmSystem, sol: NodalSolution) -> float:
+    """Worst relative residual of G(s) V(s) = I, one point and one entry of
+    G at a time; V_j = -deviation_j from one solve with sI - A per point."""
+    g = assemble_admittance(sys)
+    injections = (sys.p_lac_gpu, sys.p_lds_gpu, sys.p_ldc_gpu)
+    eye = np.eye(len(sol.b))
+    worst = 0.0
+    for s in residual_points():
+        g_vals = [[tf_eval_point(e, s) if not e.num.is_zero else 0.0 for e in row]
+                  for row in g]
+        f = sol.C @ np.linalg.solve(s * eye - sol.A, sol.b.astype(complex))
+        v_vals = -f[[0, 2, 1]]  # KINDS order to rows (AC, DS, DC)
+        for i in range(3):
+            lhs = sum(g_vals[i][j] * v_vals[j] for j in range(3))
+            scale = max(
+                abs(injections[i]),
+                max(abs(g_vals[i][j] * v_vals[j]) for j in range(3)),
+                1e-30,
+            )
+            worst = max(worst, abs(lhs - injections[i]) / scale)
+    return float(worst)
+
+
+# ---------------------------------------------------------------------------
+# loading indices
+# ---------------------------------------------------------------------------
+
+def compute_lc(x_si: float, spec: SubgridSpec) -> float:
+    """Loading condition (x_max - x)/(x_max - x_min); 0 unloaded, 1 full."""
+    return (spec.x_max - x_si) / spec.band
+
+
+def compute_rli(x_si: float, delta_comp_si: float, spec: SubgridSpec) -> float:
+    """Relative loading index: loading condition corrected for the
+    restoration compensation, (x_max - x + comp)/(x_max - x_min)."""
+    return (spec.x_max - x_si + delta_comp_si) / spec.band
 
 
 # ---------------------------------------------------------------------------

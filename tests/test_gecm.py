@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -5,11 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 from conftest import make_ac, make_dc, make_ds
 from hmg.cli import _bode_tf
 from hmg.config import Toggles, load_config
 from hmg.gecm import (
+    RESIDUAL_POINTS,
     GecmError,
+    _back_substitution_residual,
     assemble_admittance,
     bode_export,
     build_branch_impedances,
@@ -216,6 +220,50 @@ def test_residual_on_wide_inertia_configs():
     assert worst <= 1e-12
 
 
+def test_residual_points_are_the_fixed_draws():
+    got, want = np.array(RESIDUAL_POINTS), np.array(oracle.residual_points())
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("concatenator, restoration, ilc",
+                         list(itertools.product((True, False), repeat=3)))
+def test_residual_matches_point_loop_table1(concatenator, restoration, ilc):
+    # the toggles as `compare_with_gecm` reads them; restoration does not
+    # enter the circuit model, so its combinations repeat the others
+    loaded = load_config(TABLE1)
+    cfg = loaded.config
+    sys_ = build_gecm(*cfg.specs, cfg.ilc if ilc else None,
+                      cfg.concatenator_spec() if concatenator else None,
+                      loaded.scenario().first_group_w())
+    sol = solve_nodal(sys_)
+    want = oracle.back_substitution_residual(sys_, sol)
+    assert abs(_back_substitution_residual(sys_, sol) - want) <= 1e-15
+    assert sol.residual == _back_substitution_residual(sys_, sol)
+
+
+def test_residual_matches_point_loop_admissible_pool(monkeypatch):
+    # the seeded pool the benchmark's sweep draws its configurations from
+    monkeypatch.syspath_prepend(str(TABLE1.parents[1] / "perfbench"))
+    import generators
+
+    for loaded in generators.admissible_pool(1, 48):
+        cfg = loaded.config
+        sys_ = build_gecm(*cfg.specs, cfg.ilc, cfg.concatenator_spec(),
+                          loaded.scenario().first_group_w())
+        sol = solve_nodal(sys_)
+        want = oracle.back_substitution_residual(sys_, sol)
+        assert abs(sol.residual - want) <= 1e-15
+
+
+def test_responses_batch_matches_points(ref_system):
+    sol = solve_nodal(ref_system)
+    s = np.array([1j * 0.1, 1j * 10.0, 0.5 + 1j])
+    batch = sol.responses(s)
+    assert batch.shape == (3, 3)
+    for row, p in zip(batch, s):
+        np.testing.assert_allclose(row, sol.responses(p), rtol=1e-15)
+
+
 def test_solve_steady_deviations_match_droop_gains(ref_system, specs):
     # steady state is capacity-proportional sharing through each droop
     sol = solve_nodal(ref_system)
@@ -369,5 +417,19 @@ def test_bode_grid_validation():
         bode_export(tf([1], [1, 1]), [1.0, 0.5])
     with pytest.raises(GecmError):
         bode_export(tf([1], [1, 1]), [-1.0, 1.0])
+    assert bode_export(tf([1], [1, 1]), []) == []
     grid = default_bode_grid()
     assert len(grid) == 300 and grid[0] == pytest.approx(1e-4)
+
+
+@pytest.mark.parametrize("grid", [[1.0, math.nan, 3.0], [1.0, 2.0, math.inf]],
+                         ids=["nan", "inf"])
+def test_bode_rejects_non_finite_grid(grid):
+    with pytest.raises(GecmError, match="finite"):
+        bode_export(tf([1], [1, 1]), grid)
+
+
+def test_bode_rows_are_python_floats():
+    rows = bode_export(tf([1], [1, 1]), default_bode_grid())
+    assert len(rows) == 300
+    assert all(type(v) is float for row in rows for v in row)

@@ -1,8 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hmg.cli import BODE_TARGETS, _bode_tf
+from hmg.config import load_config
+from hmg.gecm import default_bode_grid
 from hmg.lti import (
     EvalAtPole,
     FvtInvalid,
@@ -22,7 +26,9 @@ from hmg.lti import (
     tf_series,
     tf_to_statespace,
 )
-from oracle import coeffs_close, step_rk4, tf_close
+from oracle import coeffs_close, step_rk4, tf_close, tf_eval_point
+
+TABLE1 = Path(__file__).resolve().parents[1] / "configs" / "table1.cfg"
 
 # reference governor/turbine constants used by a few oracles below
 
@@ -140,6 +146,32 @@ def test_eval_at_pole_raises():
         tf_eval(tf([1], [1, 1]), -1.0)
     with pytest.raises(EvalAtPole):
         tf_eval(tf([1], [0, 1]), 0.0)
+
+
+def test_eval_scalar_returns_complex():
+    assert type(tf_eval(tf([1], [1, 1]), 0.5)) is complex
+    assert type(tf_eval(tf([1], [1, 1]), np.complex128(2j))) is complex
+
+
+def test_eval_array_names_first_pole():
+    f = tf([1], [2, 3, 1])  # poles at -1 and -2
+    s = np.array([1j, -2.0, 3j, -1.0])
+    with pytest.raises(EvalAtPole, match=r"s=\(-2\+0j\)"):
+        tf_eval(f, s)
+    vals = tf_eval(f, s[[0, 2]])
+    assert vals.shape == (2,) and vals.dtype == complex
+
+
+@pytest.mark.parametrize("target", BODE_TARGETS)
+def test_eval_array_matches_point_loop(target):
+    # one array evaluation against Horner at one point at a time, in Python
+    # complex arithmetic and through the scalar form of tf_eval
+    f = _bode_tf(load_config(TABLE1), target)
+    s = 1j * default_bode_grid()
+    got = tf_eval(f, s)
+    for want in (np.array([tf_eval_point(f, p) for p in s]),
+                 np.array([tf_eval(f, p) for p in s])):
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
 # ---------------------------------------------------------------------------
