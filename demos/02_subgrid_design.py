@@ -9,6 +9,8 @@ from hmg.config import reference_config
 from hmg.lti import fvt_limit, ivt_rate_limit, tf
 from hmg.subgrid import (
     build_open_loop_tf,
+    compute_lc,
+    compute_rli,
     hess_split,
     steady_droop_gain_pu,
 )
@@ -23,11 +25,11 @@ for spec in cfg.specs:
           f"steady gain {steady_droop_gain_pu(spec):+.5f}")
 
 # Loading indices: the restoration compensation hides the droop offset, and
-# the relative loading index (x_max - x + comp)/(x_max - x_min) recovers it.
+# the relative loading index recovers it.
 ac = cfg.ac
-print("\nloading at 50 Hz with no compensation:", (ac.x_max - 50.0) / ac.band)
+print("\nloading at 50 Hz with no compensation:", compute_lc(50.0, ac))
 print("loading at 50 Hz with -0.8 Hz compensation:",
-      (ac.x_max - 50.0 + -0.8) / ac.band)
+      compute_rli(50.0, -0.8, ac))
 
 # Storage split: the fast branch takes the step and hands it to the slow
 # branch with time constant 2*y_h/y_l.

@@ -136,7 +136,10 @@ class NodalSolution:
         """
         s = np.asarray(s, dtype=complex)
         m = s[..., None, None] * np.eye(len(self.b)) - self.A
-        x = np.linalg.solve(m, self.b.astype(complex)[:, None])
+        # b as an (..., n, 1) stack of matrices: numpy 1.x would read an
+        # (n, 1) right-hand side against a stack of systems as n vectors
+        rhs = np.broadcast_to(self.b.astype(complex)[:, None], m.shape[:-1] + (1,))
+        x = np.linalg.solve(m, rhs)
         return (self.C @ x)[..., 0]
 
     def eval_channel(self, kind: str, s: complex) -> complex:

@@ -202,3 +202,13 @@ def hess_split(step_pu: float, spec: SubgridSpec) -> tuple[RationalTF, RationalT
     p_h = tf([0.0, step_pu], [a, 1.0])
     return p_l, p_h
 
+
+def compute_lc(x_si: float, spec: SubgridSpec) -> float:
+    """Loading condition (x_max - x)/(x_max - x_min); 0 unloaded, 1 full."""
+    return (spec.x_max - x_si) / spec.band
+
+
+def compute_rli(x_si: float, delta_comp_si: float, spec: SubgridSpec) -> float:
+    """Relative loading index: loading condition corrected for the
+    restoration compensation, (x_max - x + comp)/(x_max - x_min)."""
+    return (spec.x_max - x_si + delta_comp_si) / spec.band

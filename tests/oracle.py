@@ -18,8 +18,6 @@ and one scalar state at a time, exactly as the paper states them.
 * ``tf_eval_point`` / ``back_substitution_residual`` -- transfer functions
   and the nodal residual gate evaluated one frequency point at a time, the
   reference for the library's whole-grid evaluation.
-* ``compute_lc`` / ``compute_rli`` -- the loading condition and relative
-  loading index of one subgrid.
 """
 
 from __future__ import annotations
@@ -129,21 +127,6 @@ def back_substitution_residual(sys: GecmSystem, sol: NodalSolution) -> float:
             )
             worst = max(worst, abs(lhs - injections[i]) / scale)
     return float(worst)
-
-
-# ---------------------------------------------------------------------------
-# loading indices
-# ---------------------------------------------------------------------------
-
-def compute_lc(x_si: float, spec: SubgridSpec) -> float:
-    """Loading condition (x_max - x)/(x_max - x_min); 0 unloaded, 1 full."""
-    return (spec.x_max - x_si) / spec.band
-
-
-def compute_rli(x_si: float, delta_comp_si: float, spec: SubgridSpec) -> float:
-    """Relative loading index: loading condition corrected for the
-    restoration compensation, (x_max - x + comp)/(x_max - x_min)."""
-    return (spec.x_max - x_si + delta_comp_si) / spec.band
 
 
 # ---------------------------------------------------------------------------

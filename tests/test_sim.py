@@ -439,7 +439,7 @@ def test_global_power_sharing_random_admissible_configs():
 def test_equilibrium_equalizes_relative_loading_indices(cfg):
     # the converter integrators drive the concatenated deviations together,
     # which at DC is exactly equality of the relative loading indices
-    from oracle import compute_rli
+    from hmg.subgrid import compute_rli
 
     sc = Scenario(horizon_s=60.0, step_s=1e-4, events=REF_EVENTS)
     trace = run(sc, cfg)

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_ac, make_ds
-from oracle import (
-    SubgridState,
-    compute_lc,
-    compute_rli,
-    restoration_step,
-    tf_close,
-)
+from oracle import SubgridState, restoration_step, tf_close
 from hmg.lti import (
     fvt_limit,
     ivt_rate_limit,
@@ -23,6 +17,8 @@ from hmg.subgrid import (
     NegativeDroop,
     SubgridSpec,
     build_open_loop_tf,
+    compute_lc,
+    compute_rli,
     design_droop,
     hess_split,
     steady_droop_gain_pu,
