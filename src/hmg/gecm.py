@@ -33,6 +33,7 @@ transfer functions used for inertia analysis and Bode studies.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,7 +120,9 @@ class NodalSolution:
     stored in the GecmSystem (b = B P_L); row i of C reads the deviation of
     KINDS[i]. Each channel F(s) = C_x (sI - A)^-1 b satisfies
     deviation(s) = F(s)/s. The residual is the worst relative error of
-    G(s) V(s) = I_P over RESIDUAL_POINTS.
+    G(s) V(s) = I_P over RESIDUAL_POINTS. `solve_nodal` hands the same
+    solution to every caller that solves one system, so its arrays are
+    read-only.
     """
 
     A: np.ndarray
@@ -277,8 +280,13 @@ def _interconnect(sys: GecmSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return A, B, -np.array(v)
 
 
+@lru_cache(maxsize=1)
 def solve_nodal(sys: GecmSystem) -> NodalSolution:
     """State-space solution of G V = I_P for the configured load steps.
+
+    The solution of the last system solved is kept and returned again for
+    an equal system: a design study cross-checks a configuration and then
+    analyses the same circuit. A failed solve is not kept.
 
     Raises
     ------
@@ -290,6 +298,8 @@ def solve_nodal(sys: GecmSystem) -> NodalSolution:
     sys.validate()
     A, B, C = _interconnect(sys)
     b = B @ np.array([sys.p_lac_gpu, sys.p_ldc_gpu, sys.p_lds_gpu])
+    for a in (A, b, C):
+        a.setflags(write=False)
     sol = NodalSolution(A=A, b=b, C=C, residual=float("nan"))
     residual = _back_substitution_residual(sys, sol)
     if not residual <= RESIDUAL_TOL:
@@ -381,18 +391,30 @@ def ideal_global_deviation_tf(
     high-frequency limit is the global-inertia rate -1/(2 H_G) and its DC
     value reproduces capacity-proportional sharing.
     """
+    q = _pooled_stiffness(tuple(specs), cspec)
+    return tf_scale(tf_reciprocal(tf_series(_concatenator(cspec, channel), q)), -1.0)
+
+
+@lru_cache(maxsize=1)
+def _pooled_stiffness(
+    specs: tuple[SubgridSpec, SubgridSpec, SubgridSpec],
+    cspec: ConcatenatorSpec | None,
+) -> RationalTF:
+    """q = sum_y (P_y/P_G) B_y / T_y, shared by the three channels of one
+    configuration: the last (specs, cspec) is kept."""
     p_g = global_capacity(specs)
-    unity = tf([1.0], [1.0])
-
-    def t_of(kind):
-        return unity if cspec is None else concatenator_tf(cspec, kind)
-
     q = tf([0.0], [1.0])
     for spec in specs:
         b_y = tf_scale(tf_reciprocal(build_open_loop_tf(spec)), -1.0)
         weighted = tf_scale(b_y, spec.p_max_w / p_g)
-        q = tf_add(q, tf_series(weighted, tf_reciprocal(t_of(spec.kind))))
-    return tf_scale(tf_reciprocal(tf_series(t_of(channel), q)), -1.0)
+        t_y = _concatenator(cspec, spec.kind)
+        q = tf_add(q, tf_series(weighted, tf_reciprocal(t_y)))
+    return q
+
+
+def _concatenator(cspec: ConcatenatorSpec | None, kind: str) -> RationalTF:
+    """T_x, or unity when cspec is None."""
+    return tf([1.0], [1.0]) if cspec is None else concatenator_tf(cspec, kind)
 
 
 def restored_absolute_tf(

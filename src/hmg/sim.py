@@ -28,6 +28,7 @@ converter), which the trace invariant checks sample by sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -153,7 +154,8 @@ class _Engine:
 
     Every integrating block is a StateSpace driven by one row over the
     state and one over the inputs, and advances by its RK4 one-step map;
-    the restoration PI is a discrete update.
+    the restoration PI is a discrete update. The arrays are read-only:
+    `run` shares one engine between the calls that analyse a configuration.
     """
 
     def __init__(self, config: HybridConfig, toggles: Toggles, h: float):
@@ -259,6 +261,8 @@ class _Engine:
                 T[eprev_pos, :] += e_u
         self.S, self.T = S, T
         self.split_gain = float(split_a.C[0])
+        for a in (S, T, dev_rows, p1_row, p2_row, self.po_c, self.po_d):
+            a.setflags(write=False)
 
     def equilibrium(self, loads_w) -> np.ndarray:
         u = np.array([loads_w[0], loads_w[1], loads_w[2], 1.0])
@@ -271,6 +275,12 @@ class _Engine:
             return np.zeros((X.shape[0], 3))
         start = self.idx["rest"].start
         return X[:, [start, start + 2, start + 4]]
+
+
+# The engine of the last (config, toggles, step) assembled: a design study
+# runs and then cross-checks one configuration, and the cross-check's `run`
+# reuses the engine. One entry, so configurations never share one.
+_engine = lru_cache(maxsize=1)(_Engine)
 
 
 def _spectral_radius(S: np.ndarray) -> float:
@@ -401,7 +411,7 @@ def run(scenario: Scenario, config: HybridConfig) -> SimTrace:
     config.validate()
     h = scenario.step_s
     every = scenario.output_every
-    eng = _Engine(config, scenario.toggles, h)
+    eng = _engine(config, scenario.toggles, h)
     rho = _spectral_radius(eng.S)
     if not rho < 1.0:
         raise NumericalDivergence(
@@ -469,14 +479,20 @@ def measure(trace: SimTrace, event_time_s: float,
         When any bus quantity moves more than SETTLE_REL of its base within
         the trailing SETTLE_WINDOW_S seconds (and require_settled is True).
     SimError
-        When the event time is not on the trace grid, or when another load
+        When the event time is not on the trace grid, when it is the last
+        sample (the rates need the one after it), or when another load
         change acts within the sample the rates are taken over.
     """
     t = trace.t
     dt = t[1] - t[0]
     i = int(round(event_time_s / dt))
-    if i < 0 or i + 1 >= len(t) or abs(t[i] - event_time_s) > 1e-6 * dt:
+    if i < 0 or i >= len(t) or abs(t[i] - event_time_s) > 1e-6 * dt:
         raise SimError(f"event time {event_time_s} not on the trace grid")
+    if i + 1 == len(t):
+        raise SimError(
+            f"the event at t={event_time_s:g} s is the last trace sample; its "
+            f"rates need the sample after it"
+        )
     if np.any(trace.loads_w[i + 1] != trace.loads_w[i]):
         raise SimError(
             f"another load change acts within the sample ({t[i]:g}, "

@@ -18,6 +18,9 @@ and one scalar state at a time, exactly as the paper states them.
 * ``tf_eval_point`` / ``back_substitution_residual`` -- transfer functions
   and the nodal residual gate evaluated one frequency point at a time, the
   reference for the library's whole-grid evaluation.
+* ``ideal_global_deviation_tf`` -- the ideal-coupling deviation TF with its
+  pooled stiffness built afresh for every channel, the reference for the
+  library's shared one.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from hmg.gecm import GecmSystem, NodalSolution, assemble_admittance
+from hmg.gecm import GecmSystem, NodalSolution, assemble_admittance, global_capacity
 from hmg.ilc import ConcatenatorSpec, IlcSpec, concatenator_tf
 from hmg.lti import (
     POLE_REL,
@@ -36,9 +39,14 @@ from hmg.lti import (
     StateSpace,
     poly_mul,
     rk4_step_maps,
+    tf,
+    tf_add,
+    tf_reciprocal,
+    tf_scale,
+    tf_series,
     tf_to_statespace,
 )
-from hmg.subgrid import AC, DC, DS, SubgridSpec
+from hmg.subgrid import AC, DC, DS, SubgridSpec, build_open_loop_tf
 
 
 def step_rk4(ss: StateSpace, x: np.ndarray, u: float, h: float) -> np.ndarray:
@@ -127,6 +135,26 @@ def back_substitution_residual(sys: GecmSystem, sol: NodalSolution) -> float:
             )
             worst = max(worst, abs(lhs - injections[i]) / scale)
     return float(worst)
+
+
+def ideal_global_deviation_tf(
+    specs: tuple[SubgridSpec, SubgridSpec, SubgridSpec],
+    cspec: ConcatenatorSpec | None,
+    channel: str,
+) -> RationalTF:
+    """-1/(T_x q) with q = sum_y (P_y/P_G) B_y/T_y built for this channel."""
+    p_g = global_capacity(specs)
+    unity = tf([1.0], [1.0])
+
+    def t_of(kind):
+        return unity if cspec is None else concatenator_tf(cspec, kind)
+
+    q = tf([0.0], [1.0])
+    for spec in specs:
+        b_y = tf_scale(tf_reciprocal(build_open_loop_tf(spec)), -1.0)
+        weighted = tf_scale(b_y, spec.p_max_w / p_g)
+        q = tf_add(q, tf_series(weighted, tf_reciprocal(t_of(spec.kind))))
+    return tf_scale(tf_reciprocal(tf_series(t_of(channel), q)), -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,17 @@ def test_cli_simulate_off_grid_event_exit2(tmp_path, table1_text, caplog):
     assert "not on the trace grid" in caplog.text
 
 
+def test_cli_simulate_event_on_last_sample_exit2(tmp_path, table1_text, caplog):
+    # the events at 1 s sit on the last sample of a 1 s run: on the grid,
+    # but the rates need the sample after it
+    cfg = _short_config(tmp_path, table1_text, horizon="1")
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert ("the event at t=1 s is the last trace sample; its rates need the "
+            "sample after it") in caplog.text
+    assert "not on the trace grid" not in caplog.text
+
+
 def test_cli_simulate_second_load_change_in_rate_sample_exit2(
         tmp_path, table1_text, caplog):
     # the DC step at 1.005 s acts inside the 10 ms sample the first rates

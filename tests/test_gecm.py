@@ -381,6 +381,26 @@ def test_ideal_global_tf_reduces_high_frequency_magnitude(specs):
     assert abs(tf_eval(n_ac1, 1j * w)) < abs(tf_eval(n_ac0, 1j * w))
 
 
+@pytest.mark.parametrize("source", ("table1", "admissible_pool"))
+def test_ideal_global_tf_matches_per_channel_build(source, monkeypatch):
+    # the pooled stiffness is built once per configuration and shared by
+    # the three channels: the same arithmetic as building it per channel
+    if source == "table1":
+        configs = [load_config(TABLE1).config]
+    else:
+        monkeypatch.syspath_prepend(str(TABLE1.parents[1] / "perfbench"))
+        import generators
+
+        configs = [loaded.config for loaded in generators.admissible_pool(1, 48)]
+    for cfg in configs:
+        for cspec in (cfg.concatenator_spec(), None):
+            for kind in ("ac", "dc", "ds"):
+                got = ideal_global_deviation_tf(cfg.specs, cspec, kind)
+                want = oracle.ideal_global_deviation_tf(cfg.specs, cspec, kind)
+                for a, b in ((got.num, want.num), (got.den, want.den)):
+                    assert np.array(a.coeffs).tobytes() == np.array(b.coeffs).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # restoration in the Laplace picture
 # ---------------------------------------------------------------------------
