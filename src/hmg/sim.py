@@ -6,14 +6,16 @@ linear discrete update, and the only exogenous inputs are the (piecewise
 constant) load powers. The engine therefore precomputes, per block, the
 exact one-step RK4 map for inputs held constant over the step, chains it
 with the algebraic coupling relations evaluated at the step start, and
-advances the composed affine map x+ = S x + T u. Between load changes one
-power of that map advances a whole output sample, and one batched product
-with the stacked powers advances up to _BLOCK_SAMPLES samples at once. This
-is algebraically identical to stepping every block by classical RK4 under
-held inputs (it differs by round-off only), and fast enough for
-sub-millisecond steps over long horizons, recorded at every step or not.
-A map whose spectral radius is not below 1 is rejected at assembly, with
-the largest stable step named.
+composes the map x+ = S x + T u. The inputs u are carried as constant
+states, so the whole run is one linear system z+ = Z z on z = [x; u] whose
+input states a load change rewrites, and every trace column is one row of
+one output matrix over z. One power of Z advances a whole output sample,
+and one product with the stacked powers, built once per run, advances up
+to _BLOCK_SAMPLES samples at once. This is algebraically identical to
+stepping every block by classical RK4 under held inputs (it differs by
+round-off only), and fast enough for sub-millisecond steps over long
+horizons, recorded at every step or not. A map whose spectral radius is
+not below 1 is rejected at assembly, with the largest stable step named.
 
 Coupling sign conventions (converter powers in watts on the global base):
 
@@ -102,7 +104,6 @@ class SimTrace:
     delta_vdc_v: np.ndarray
     delta_vds_v: np.ndarray
     bases: tuple[float, float, float]        # f_max, V_dc_max, V_ds_max
-    nominals: tuple[float, float, float]
     capacities: tuple[float, float, float]   # P_max per subgrid, watts
     loads_w: np.ndarray                      # applied loads per sample, (n, 3)
 
@@ -145,23 +146,26 @@ _INTEGRATOR = StateSpace(A=np.zeros((1, 1)), B=np.ones(1), C=np.ones(1), D=0.0)
 
 
 class _Engine:
-    """Composed one-step affine map of the full closed loop.
+    """Composed one-step linear map of the full closed loop and its loads.
 
-    State layout: [ac block | dc block | ds block | split filter
-                   | concatenator z_ac z_dc z_ds | converter z1 z2
-                   | restoration (comp, e_prev) x 3 ].
-    Input layout: [P_lac_w, P_ldc_w, P_lds_w, 1].
+    State layout: z = [ac block | dc block | ds block | split filter
+                       | concatenator z_ac z_dc z_ds | converter z1 z2
+                       | restoration (comp, e_prev) x 3
+                       | P_lac_w P_ldc_w P_lds_w 1 ].
+    The first n states are the plant x; the last four are the inputs u,
+    held constant by the identity block of Z = [[S, T], [0, I]], so
+    between load changes the run is z+ = Z z and a load change rewrites
+    u. Every trace column after t_s is one row of the output map C over z,
+    in TRACE_COLUMNS order.
 
-    Every integrating block is a StateSpace driven by one row over the
-    state and one over the inputs, and advances by its RK4 one-step map;
-    the restoration PI is a discrete update. The arrays are read-only:
-    `run` shares one engine between the calls that analyse a configuration.
+    Every integrating block is a StateSpace driven by one row over z and
+    advances by its RK4 one-step map; the restoration PI is a discrete
+    update. The arrays are read-only: `run` shares one engine between the
+    calls that analyse a configuration.
     """
 
     def __init__(self, config: HybridConfig, toggles: Toggles, h: float):
-        self.toggles = toggles
         specs = config.specs
-        p_g = config.p_gmax_w
         cspec = config.concatenator_spec() if toggles.concatenator_enabled else None
 
         blocks = [tf_to_statespace(build_open_loop_tf(s)) for s in specs]
@@ -187,94 +191,91 @@ class _Engine:
         if toggles.restoration_enabled:
             idx["rest"] = slice(pos, pos + 6)  # (comp, e_prev) per subgrid
             pos += 6
-        self.n = pos
+        self.n = n = pos
         self.idx = idx
-        n_u = 4
+        w, one = n + 4, n + 3                    # z width, the constant input
 
         # deviation rows: delta_x_pu = C_block x
-        dev_rows = np.zeros((3, self.n))
+        dev_rows = np.zeros((3, w))
         for i, (kind, b) in enumerate(zip(KIND_ORDER, blocks)):
             dev_rows[i, idx[kind]] = b.C
-        self.dev_rows = dev_rows
+        comp_rows = np.zeros((3, w))
+        if toggles.restoration_enabled:
+            for i in range(3):
+                comp_rows[i, idx["rest"].start + 2 * i] = 1.0
 
         # concatenated deviations c = dev + (w_x - w0) z_c (when enabled)
         conc_rows = dev_rows.copy()
         for i, c in enumerate(conc):
             conc_rows[i, idx["conc"].start + i] = c.C[0]
 
-        # converter powers in watts: rows over x, columns over u
-        p1_row = np.zeros(self.n)
-        p2_row = np.zeros(self.n)
+        # converter powers in watts
+        p_rows = np.zeros((2, w))
         e_rows = [conc_rows[2] - conc_rows[1],    # c_ds - c_dc
                   conc_rows[2] - conc_rows[0]]    # c_ds - c_ac
         if toggles.ilc_enabled:
-            z1_pos, z2_pos = idx["pi"].start, idx["pi"].start + 1
-            p1_row = config.ilc.k_tp1 * e_rows[0]
-            p1_row[z1_pos] += config.ilc.k_ti1
-            p2_row = config.ilc.k_tp2 * e_rows[1]
-            p2_row[z2_pos] += config.ilc.k_ti2
-            p1_row = p1_row * p_g
-            p2_row = p2_row * p_g
-        self.p1_row, self.p2_row = p1_row, p2_row
+            ilc = config.ilc
+            for j, (k_p, k_i) in enumerate(((ilc.k_tp1, ilc.k_ti1),
+                                            (ilc.k_tp2, ilc.k_ti2))):
+                p_rows[j] = k_p * e_rows[j]
+                p_rows[j, idx["pi"].start + j] += k_i
+            p_rows *= config.p_gmax_w
+        p1, p2 = p_rows
 
-        # subgrid output powers in watts: P_o = C_p x + D_p u
-        self.po_c = np.array([-p2_row, -p1_row, p1_row + p2_row])
-        self.po_d = np.eye(3, n_u)
+        # subgrid output powers in watts: the load less the converter power
+        p_out = np.array([-p2, -p1, p1 + p2])
+        p_out[:, n:one] += np.eye(3)
+        p_l = np.zeros(w)
+        p_l[idx["split"].start] = split_a.C[0] * specs[2].p_max_w
 
-        # (block, first state, drive row over x, drive row over u); the
-        # subgrid blocks and the split filter see local per-unit output power
-        no_u = np.zeros(n_u)
-        drives = [(b, idx[kind].start, self.po_c[i] / specs[i].p_max_w,
-                   self.po_d[i] / specs[i].p_max_w)
+        # (block, first state, drive row over z); the subgrid blocks and the
+        # split filter see local per-unit output power
+        drives = [(b, idx[kind].start, p_out[i] / specs[i].p_max_w)
                   for i, (kind, b) in enumerate(zip(KIND_ORDER, blocks))]
-        drives.append((split_a, idx["split"].start,
-                       self.po_c[2] / specs[2].p_max_w,
-                       self.po_d[2] / specs[2].p_max_w))
-        drives += [(c, idx["conc"].start + i, dev_rows[i], no_u)
+        drives.append((split_a, idx["split"].start, p_out[2] / specs[2].p_max_w))
+        drives += [(c, idx["conc"].start + i, dev_rows[i])
                    for i, c in enumerate(conc)]
-        drives += [(z, idx["pi"].start + j, e_rows[j], no_u)
+        drives += [(z, idx["pi"].start + j, e_rows[j])
                    for j, z in enumerate(pi)]
 
-        # one-step update x+ = S x + T u
-        S = np.zeros((self.n, self.n))
-        T = np.zeros((self.n, n_u))
-        for b, start, row_c, row_d in drives:
+        # one-step update z+ = Z z
+        Z = np.zeros((w, w))
+        Z[n:, n:] = np.eye(4)
+        for b, start, drive in drives:
             M, N = rk4_step_maps(b, h)
             block = slice(start, start + b.order)
-            S[block, block] = M
-            S[block, :] += np.outer(N, row_c)
-            T[block, :] += np.outer(N, row_d)
+            Z[block, block] = M
+            Z[block, :] += np.outer(N, drive)
         if toggles.restoration_enabled:
             for i, spec in enumerate(specs):
                 comp_pos = idx["rest"].start + 2 * i
                 eprev_pos = comp_pos + 1
                 # e = (x_n* - 1) - dev - comp
-                e_row = -dev_rows[i].copy()
-                e_row[comp_pos] -= 1.0
-                e_u = np.array([0.0, 0.0, 0.0, spec.x_nominal_pu - 1.0])
+                e_row = -dev_rows[i] - comp_rows[i]
+                e_row[one] = spec.x_nominal_pu - 1.0
                 gain = spec.k_p + spec.k_i * h
-                S[comp_pos, comp_pos] += 1.0
-                S[comp_pos, :] += gain * e_row
-                S[comp_pos, eprev_pos] += -spec.k_p
-                T[comp_pos, :] += gain * e_u
-                S[eprev_pos, :] += e_row
-                T[eprev_pos, :] += e_u
-        self.S, self.T = S, T
-        self.split_gain = float(split_a.C[0])
-        for a in (S, T, dev_rows, p1_row, p2_row, self.po_c, self.po_d):
+                Z[comp_pos, comp_pos] += 1.0
+                Z[comp_pos, :] += gain * e_row
+                Z[comp_pos, eprev_pos] += -spec.k_p
+                Z[eprev_pos, :] += e_row
+
+        # output map, rows in TRACE_COLUMNS order: bus values
+        # x* = (1 + dev + comp) x_max, the powers, the compensations in SI
+        bases = np.array([s.x_max for s in specs])[:, None]
+        bus = (dev_rows + comp_rows) * bases
+        bus[:, one] += bases[:, 0]
+        C = np.vstack((bus, p_out, p_l, p_out[2] - p_l, p1, p2,
+                       comp_rows * bases))
+
+        for a in (Z, C, dev_rows):
             a.setflags(write=False)
+        self.Z, self.C, self.dev_rows = Z, C, dev_rows
+        self.S, self.T = Z[:n, :n], Z[:n, n:]
 
-    def equilibrium(self, loads_w) -> np.ndarray:
-        u = np.array([loads_w[0], loads_w[1], loads_w[2], 1.0])
-        lhs = np.eye(self.n) - self.S
-        return np.linalg.solve(lhs, self.T @ u)
-
-    def comp_pu(self, X: np.ndarray) -> np.ndarray:
-        """Restoration compensations per sample, (n, 3)."""
-        if not self.toggles.restoration_enabled:
-            return np.zeros((X.shape[0], 3))
-        start = self.idx["rest"].start
-        return X[:, [start, start + 2, start + 4]]
+    def equilibrium(self, u: np.ndarray) -> np.ndarray:
+        """Settled z with the inputs u held: x = (I - S)^-1 T u, then u."""
+        x = np.linalg.solve(np.eye(self.n) - self.S, self.T @ u)
+        return np.concatenate((x, u))
 
 
 # The engine of the last (config, toggles, step) assembled: a design study
@@ -314,9 +315,9 @@ def _stable_step_note(config: HybridConfig, toggles: Toggles, h: float) -> str:
 
 
 def _schedule(scenario: Scenario) -> list[tuple[int, np.ndarray]]:
-    """Load segments (first step, loads in watts): a load step at time t
-    acts from step `scenario.step_of(t)` on."""
-    current = np.array(scenario.initial_loads_w, dtype=float)
+    """Input segments (first step, u = [P_lac_w, P_ldc_w, P_lds_w, 1]): a
+    load step at time t acts from step `scenario.step_of(t)` on."""
+    current = np.append(scenario.initial_loads_w, 1.0)
     segments = [(0, current)]
     for e in scenario.events:
         current = current.copy()
@@ -325,58 +326,61 @@ def _schedule(scenario: Scenario) -> list[tuple[int, np.ndarray]]:
     return segments
 
 
-# Whole output samples written per batched product: the stack of the first
-# _BLOCK_SAMPLES powers of the per-sample map is built once per load segment.
-# Of 16-256, 64 ran `run` fastest on the benchmark inputs (2 cores): more
-# samples per product cost more doubling per segment than they save.
+# Whole output samples written per product: the stack of the first
+# _BLOCK_SAMPLES powers of the per-sample map is built once per run. Median
+# in-process `run` ms for 32 / 64 / 128 (2 cores): table1 2.3 / 1.9 / 2.0,
+# dense_events seed 1 23 / 19 / 17, one sweep config 0.86 / 0.92 / 0.99.
+# No size is fastest on all three, so 64 stays.
 _BLOCK_SAMPLES = 64
 
 
-def _propagate(S: np.ndarray, segments, x0: np.ndarray, n_steps: int,
+def _propagate(Z: np.ndarray, segments, z0: np.ndarray, n_steps: int,
                every: int) -> np.ndarray:
-    """Iterate x+ = S x + d over n_steps steps from x0.
+    """Iterate z+ = Z z over n_steps steps from z0.
 
-    Each (first step, d) segment holds its drive d from its first step until
-    the next segment's. Returns the states at steps 0, every, 2*every, ...,
-    shape (n_steps // every + 1, len(x0)).
+    The last len(u) entries of z are input states that Z holds constant;
+    each (first step, u) segment writes its u into them at its first step,
+    and one that starts past n_steps never acts. Returns the states at
+    steps 0, every, 2*every, ..., shape (n_steps // every + 1, len(z0)); a
+    sample records the inputs acting over the step it starts.
 
-    Within a segment one output sample is one application of
-    P = [[S, d], [0, 1]]**every (Van Loan's augmented map). The stack P,
-    P**2, ..., P**_BLOCK_SAMPLES is built by doubling, and each run of up
-    to _BLOCK_SAMPLES whole samples is one product of that stack with
-    [x; 1] (the chunked form of an affine-recurrence scan). Single steps
-    are taken only from a segment boundary up to the next sample, and from
-    the last whole sample up to the next boundary. The result differs from
-    the plain loop x = S x + d by round-off only.
+    One output sample is one application of P = Z**every. The stack P,
+    P**2, ..., P**_BLOCK_SAMPLES is built once by doubling, and each run of
+    up to _BLOCK_SAMPLES whole samples inside a segment is one product of
+    that stack with z (the chunked form of a linear-recurrence scan).
+    Single steps are taken only from a segment's first step up to the next
+    sample, and from its last whole sample up to the next segment. The
+    result differs from the plain loop z = Z z by round-off only.
     """
-    n = len(x0)
-    X = np.empty((n_steps // every + 1, n))
-    x = x0
+    w = len(z0)
+    X = np.empty((n_steps // every + 1, w))
+    # the stack as one (count * w, w) matrix: one matrix-vector product
+    # advances a run of samples, faster than a batched product
+    Q = _powers(np.linalg.matrix_power(Z, every),
+                min(max(n_steps // every, 1), _BLOCK_SAMPLES)).reshape(-1, w)
+    z = z0
     k = 0
     ends = [first for first, _ in segments[1:]] + [n_steps]
-    for (_, d), k_end in zip(segments, ends):
+    for (first, u), k_end in zip(segments, ends):
+        if first > n_steps:
+            break
+        z = np.concatenate((z[:-len(u)], u))  # a copy: z may view X[j]
         k_end = min(k_end, n_steps)
         for _ in range(min(-k % every, k_end - k)):  # up to the next sample
-            x = S @ x + d
+            z = Z @ z
             k += 1
         if k % every == 0:
-            X[k // every] = x
+            X[k // every] = z
         m = (k_end - k) // every                      # whole samples
-        if m:
-            A = np.eye(n + 1)
-            A[:n, :n] = S
-            A[:n, n] = d
-            Q = _powers(np.linalg.matrix_power(A, every),
-                        min(m, _BLOCK_SAMPLES))
-            j, j_end = k // every, k // every + m
-            while j < j_end:
-                b = min(len(Q), j_end - j)
-                X[j + 1:j + b + 1] = (Q[:b] @ np.append(x, 1.0))[:, :n]
-                j += b
-                x = X[j]
-            k += m * every
-        for _ in range(k_end - k):                    # up to the boundary
-            x = S @ x + d
+        j, j_end = k // every, k // every + m
+        while j < j_end:
+            b = min(len(Q) // w, j_end - j)
+            X[j + 1:j + b + 1] = (Q[:b * w] @ z).reshape(b, w)
+            j += b
+            z = X[j]
+        k += m * every
+        for _ in range(k_end - k):                    # up to the next segment
+            z = Z @ z
             k += 1
     return X
 
@@ -420,42 +424,22 @@ def run(scenario: Scenario, config: HybridConfig) -> SimTrace:
         )
     n_steps = int(round(scenario.horizon_s / h))
     segments = _schedule(scenario)
-    drives = [(k, eng.T @ np.append(seg_loads, 1.0)) for k, seg_loads in segments]
-    X = _propagate(eng.S, drives, eng.equilibrium(scenario.initial_loads_w),
-                   n_steps, every)
+    Zs = _propagate(eng.Z, segments, eng.equilibrium(segments[0][1]), n_steps,
+                    every)
 
-    t = np.arange(len(X)) * (h * every)
-    # each sample records the loads acting over the step it starts
-    seg_of = np.searchsorted([k for k, _ in segments], np.arange(len(X)) * every,
-                             side="right") - 1
-    loads = np.array([seg_loads for _, seg_loads in segments])[seg_of]
-    devs = X @ eng.dev_rows.T                     # (n, 3)
-    bad = ~np.all(np.abs(devs) < DIVERGENCE_LIMIT, axis=1)
+    t = np.arange(len(Zs)) * (h * every)
+    bad = ~np.all(np.abs(Zs @ eng.dev_rows.T) < DIVERGENCE_LIMIT, axis=1)
     if bad.any():
         raise NumericalDivergence(
             f"per-unit deviation beyond {DIVERGENCE_LIMIT} at "
             f"t={t[bad][0]:.4f} s"
         )
-    comps = eng.comp_pu(X)
-    bases = tuple(s.x_max for s in config.specs)
-    x_abs = [(1.0 + devs[:, i] + comps[:, i]) * bases[i] for i in range(3)]
-    p1 = X @ eng.p1_row
-    p2 = X @ eng.p2_row
-    p_out = X @ eng.po_c.transpose() + loads @ eng.po_d[:, :3].transpose()
-    p_l = (X[:, eng.idx["split"]][:, 0] * eng.split_gain) * config.ds.p_max_w
-    p_h = p_out[:, 2] - p_l
     return SimTrace(
         t=t,
-        f_hz=x_abs[0], vdc_v=x_abs[1], vds_v=x_abs[2],
-        p_oac_w=p_out[:, 0], p_odc_w=p_out[:, 1], p_ods_w=p_out[:, 2],
-        p_l_w=p_l, p_h_w=p_h, p1_w=p1, p2_w=p2,
-        delta_f_hz=comps[:, 0] * bases[0],
-        delta_vdc_v=comps[:, 1] * bases[1],
-        delta_vds_v=comps[:, 2] * bases[2],
-        bases=bases,
-        nominals=tuple(s.x_nominal for s in config.specs),
+        **dict(zip(TRACE_COLUMNS[1:], eng.C @ Zs.T)),
+        bases=tuple(s.x_max for s in config.specs),
         capacities=tuple(s.p_max_w for s in config.specs),
-        loads_w=loads,
+        loads_w=Zs[:, eng.n:eng.n + 3].copy(),
     )
 
 
@@ -469,9 +453,10 @@ def measure(trace: SimTrace, event_time_s: float,
 
     Rates are two-sample forward differences at the event sample (magnitudes,
     as rates of change are conventionally reported). Nadirs are the minima
-    between the event and the next load change. Steady values average the
-    last 5% of the horizon after the settling check; require_settled=False
-    skips the check and reports the trailing averages regardless.
+    between the event and the next change of any subgrid's load. Steady
+    values average the last 5% of the horizon after the settling check;
+    require_settled=False skips the check and reports the trailing averages
+    regardless.
 
     Raises
     ------
@@ -479,11 +464,15 @@ def measure(trace: SimTrace, event_time_s: float,
         When any bus quantity moves more than SETTLE_REL of its base within
         the trailing SETTLE_WINDOW_S seconds (and require_settled is True).
     SimError
-        When the event time is not on the trace grid, when it is the last
-        sample (the rates need the one after it), or when another load
-        change acts within the sample the rates are taken over.
+        When the trace holds no sample after t = 0, when the event time is
+        not on the trace grid, when it is the last sample (the rates need
+        the one after it), or when another load change acts within the
+        sample the rates are taken over.
     """
     t = trace.t
+    if len(t) < 2:
+        raise SimError("the horizon holds no sample after t = 0, so no rate "
+                       "can be measured")
     dt = t[1] - t[0]
     i = int(round(event_time_s / dt))
     if i < 0 or i >= len(t) or abs(t[i] - event_time_s) > 1e-6 * dt:
@@ -502,9 +491,9 @@ def measure(trace: SimTrace, event_time_s: float,
     signals = (trace.f_hz, trace.vdc_v, trace.vds_v)
     rates = tuple(abs(sig[i + 1] - sig[i]) / dt for sig in signals)
 
-    # window until the next load change (or the end of the run)
-    total = trace.total_load_w()
-    later = np.nonzero(np.abs(np.diff(total[i + 1:])) > 1e-9)[0]
+    # window until any subgrid's load next changes (or the end of the run)
+    changes = np.any(np.diff(trace.loads_w[i + 1:], axis=0) != 0, axis=1)
+    later = np.nonzero(changes)[0]
     j_end = (i + 1 + later[0] + 1) if later.size else len(t)
     nadirs = tuple(float(np.min(sig[i:j_end])) for sig in signals)
 
@@ -555,8 +544,10 @@ def compare_with_gecm(
 
     The circuit model is solved for the loads of the first load-step group
     (`Scenario.first_group_w`) and its state-space model integrated with the
-    same step; the per-unit deviation responses are compared over
-    XCHECK_WINDOW_S normalized by each channel's own RMS. Passing a different
+    same step, its load switched on at the step the engine's is
+    (`Scenario.step_of`); the per-unit deviation responses are compared over
+    XCHECK_WINDOW_S from the sample at or before that step, normalized by
+    each channel's own RMS. Passing a different
     `gecm_config` turns this into a negative control: the report then flags
     the mismatch.
     """
@@ -566,7 +557,8 @@ def compare_with_gecm(
     every = scenario.output_every
     dt = h * every
     t0 = scenario.events[0].time_s
-    i0 = int(round(t0 / dt))
+    k0 = scenario.step_of(t0)
+    i0 = k0 // every
     n = int(round(XCHECK_WINDOW_S / dt))
     missing = (i0 + n - int(round(scenario.horizon_s / h)) // every) * dt
     if missing > 0:
@@ -585,9 +577,12 @@ def compare_with_gecm(
     sim_devs = np.column_stack([trace.deviation_pu(kind)[i0:i0 + n + 1]
                                 for kind in KIND_ORDER])
     sim_devs -= sim_devs[0]  # isolate the step response
+    # the model [[M, N], [0, 1]] from sample i0, its input switched on at k0
     M, N = rk4_step_maps(StateSpace(A=sol.A, B=sol.b, C=sol.C, D=0.0), h)
-    err = sim_devs - _propagate(M, [(0, N)], np.zeros(len(sol.b)), n * every,
-                                every) @ sol.C.T
+    Z = np.block([[M, N[:, None]], [np.zeros((1, len(N))), np.ones((1, 1))]])
+    model = _propagate(Z, [(0, np.zeros(1)), (k0 - i0 * every, np.ones(1))],
+                       np.zeros(len(N) + 1), n * every, every)
+    err = sim_devs - model[:, :-1] @ sol.C.T
     sim_rms = np.sqrt(np.mean(sim_devs ** 2, axis=0))
     # inert channels (decoupled runs) compare on the dominant channel's scale
     denom = np.maximum(sim_rms, max(1e-6 * sim_rms.max(), 1e-30))

@@ -13,6 +13,8 @@ and one scalar state at a time, exactly as the paper states them.
   the two-stage interlinking-converter power loop.
 * ``affine_loop`` -- the composed map iterated one step at a time, the
   reference for the library's blocked propagator.
+* ``trace_columns`` -- each trace column computed on its own from the
+  plant states and the loads, the reference for the engine's output map.
 * ``coeffs_close`` / ``tf_close`` -- tolerance comparison of polynomials and
   rational functions.
 * ``tf_eval_point`` / ``back_substitution_residual`` -- transfer functions
@@ -46,7 +48,7 @@ from hmg.lti import (
     tf_series,
     tf_to_statespace,
 )
-from hmg.subgrid import AC, DC, DS, SubgridSpec, build_open_loop_tf
+from hmg.subgrid import AC, DC, DS, SubgridSpec, build_open_loop_tf, hess_split
 
 
 def step_rk4(ss: StateSpace, x: np.ndarray, u: float, h: float) -> np.ndarray:
@@ -72,6 +74,43 @@ def affine_loop(S: np.ndarray, segments, x0: np.ndarray,
         d = [drive for first, drive in segments if first <= k][-1]
         X[k + 1] = x = S @ x + d
     return X
+
+
+def trace_columns(config, toggles, idx: dict, X: np.ndarray,
+                  loads: np.ndarray) -> dict:
+    """The trace columns after t_s, by name, from the plant states X
+    (samples, n) laid out as `idx` says and the applied loads (samples, 3):
+    bus values (1 + dev + comp) x_max, the converter powers of
+    ``ilc_outputs``, output powers as load less converter power, and the
+    storage split's slow branch."""
+    specs = config.specs
+    zeros = np.zeros(len(X))
+    devs = [X[:, idx[kind]] @ tf_to_statespace(build_open_loop_tf(spec)).C
+            for kind, spec in zip((AC, DC, DS), specs)]
+    comps = [zeros] * 3
+    if toggles.restoration_enabled:
+        start = idx["rest"].start
+        comps = [X[:, start + 2 * i] for i in range(3)]
+    p1 = p2 = zeros
+    if toggles.ilc_enabled:
+        cspec = config.concatenator_spec() if toggles.concatenator_enabled else None
+        z = X[:, idx["conc"]].T if cspec is not None else [zeros] * 3
+        state = IlcState(z_ac=z[0], z_dc=z[1], z_ds=z[2],
+                         z1=X[:, idx["pi"].start], z2=X[:, idx["pi"].start + 1])
+        *_, p1, p2 = ilc_outputs(state, *devs, config.ilc, cspec,
+                                 config.p_gmax_w)
+    p_out = (loads[:, 0] - p2, loads[:, 1] - p1, loads[:, 2] + p1 + p2)
+    split = tf_to_statespace(hess_split(1.0, specs[2])[0])
+    p_l = X[:, idx["split"]] @ split.C * specs[2].p_max_w
+    cols = {}
+    for i, (bus, delta) in enumerate((("f_hz", "delta_f_hz"),
+                                      ("vdc_v", "delta_vdc_v"),
+                                      ("vds_v", "delta_vds_v"))):
+        cols[bus] = (1.0 + devs[i] + comps[i]) * specs[i].x_max
+        cols[delta] = comps[i] * specs[i].x_max
+    cols.update(p_oac_w=p_out[0], p_odc_w=p_out[1], p_ods_w=p_out[2],
+                p_l_w=p_l, p_h_w=p_out[2] - p_l, p1_w=p1, p2_w=p2)
+    return cols
 
 
 def coeffs_close(a: Polynomial, b: Polynomial, tol: float = 1e-10) -> bool:

@@ -287,6 +287,18 @@ def test_cli_simulate_second_load_change_in_rate_sample_exit2(
     assert not (out_dir / "metrics.json").exists()
 
 
+def test_cli_simulate_one_sample_trace_exit2(tmp_path, table1_text, caplog):
+    # 5 ms holds 50 steps, fewer than the 100 between trace samples, so
+    # the trace holds only t = 0
+    cfg = _short_config(tmp_path, table1_text, horizon="0.005",
+                        extra=[("e1 = 1.0 dc 14e3", "e1 = 0.001 ac 1e3"),
+                               ("e2 = 1.0 ac 12e3", ""),
+                               ("e3 = 1.0 ds 10e3", "")])
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "the horizon holds no sample after t = 0" in caplog.text
+
+
 def test_cli_simulate_event_after_last_step_exit2(tmp_path, table1_text,
                                                   caplog):
     # 8.00004 s holds 80,000 steps of 0.1 ms; an event at 8.00003 s acts

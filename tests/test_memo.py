@@ -56,8 +56,7 @@ MEMOS = {
     "engine": (
         sim._engine,
         lambda cfg, sc: (cfg, sc.toggles, sc.step_s),
-        lambda e: (_bits(e.S, e.T, e.dev_rows, e.p1_row, e.p2_row, e.po_c,
-                         e.po_d, e.split_gain), e.idx, e.n),
+        lambda e: (_bits(e.Z, e.C, e.dev_rows), e.idx, e.n),
     ),
     "nodal solve": (
         solve_nodal,
@@ -128,8 +127,7 @@ def test_shared_arrays_are_read_only(table1):
     cfg, sc = table1
     eng = sim._engine(cfg, sc.toggles, sc.step_s)
     sol = solve_nodal(_system(cfg, sc))
-    for a in (eng.S, eng.T, eng.dev_rows, eng.p1_row, eng.p2_row, eng.po_c,
-              eng.po_d, sol.A, sol.b, sol.C):
+    for a in (eng.Z, eng.S, eng.T, eng.C, eng.dev_rows, sol.A, sol.b, sol.C):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
 

@@ -1,10 +1,11 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from dataclasses import replace
 
-from hmg.config import reference_config
+from hmg.config import load_config, reference_config
 from hmg.sim import (
     Event,
     NotSettled,
@@ -21,6 +22,7 @@ from hmg.sim import (
 from hmg.ilc import IlcSpec
 
 REF_EVENTS = (Event(1.0, "dc", 14e3), Event(1.0, "ac", 12e3), Event(1.0, "ds", 10e3))
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -265,16 +267,28 @@ def _stride_problem(firsts, rho=0.95):
     return S, segments, rng.standard_normal(n)
 
 
+def _held(segments, steps):
+    # the input of the last segment begun by each step
+    return np.array([[u for first, u in segments if first <= k][-1]
+                     for k in steps])
+
+
 def _assert_plain_loop(S, segments, x0, n_steps, every):
-    # the blocked propagator against x = S x + d stepped one step at a time
+    # the blocked propagator, each drive d held as input states of
+    # Z = [[S, I], [0, I]], against x = S x + d stepped one step at a time
     from hmg.sim import _propagate
     from oracle import affine_loop
 
-    got = _propagate(S, segments, x0, n_steps, every)
+    n = len(x0)
+    Z = np.block([[S, np.eye(n)], [np.zeros((n, n)), np.eye(n)]])
+    got = _propagate(Z, segments, np.append(x0, segments[0][1]), n_steps, every)
     ref = affine_loop(S, segments, x0, n_steps)[::every]
-    assert got.shape == ref.shape == (n_steps // every + 1, len(x0))
+    assert got.shape == (len(ref), 2 * n) and ref.shape[1] == n
     scale = np.abs(ref).max(axis=0)
-    assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+    assert np.all(np.abs(got[:, :n] - ref) <= 1e-12 * scale)
+    # each sample records the drive acting over the step it starts
+    assert np.array_equal(got[:, n:],
+                          _held(segments, range(0, n_steps + 1, every)))
 
 
 @pytest.mark.parametrize("firsts, n_steps, every", STRIDE_CASES.values(),
@@ -306,29 +320,113 @@ def test_propagate_across_blocks(blocks, every):
     _assert_plain_loop(S, segments, x0, samples * every + 7, every)
 
 
+# every step recorded over twelve load steps: segments of 3, exactly 64 and
+# several hundred steps
+DENSE_TIMES = (0.05, 0.0503, 0.08, 0.1, 0.1064, 0.15, 0.2, 0.2641, 0.3, 0.35,
+               0.4, 0.45)
+DENSE = Scenario(
+    horizon_s=0.5, step_s=1e-4, output_every=1,
+    events=tuple(Event(t, ("ac", "dc", "ds")[i % 3], (1.5e3, -0.7e3)[i % 2])
+                 for i, t in enumerate(DENSE_TIMES)),
+    initial_loads_w=(8e3, 8e3, 8e3))
+
+
 def test_dense_schedule_matches_affine_loop(cfg, monkeypatch):
-    # every step recorded over twelve load steps: segments of 3, exactly
-    # 64 and several hundred steps, each checked through the whole trace
+    # each segment checked through the whole trace
     import hmg.sim
     from oracle import affine_loop
 
-    times = (0.05, 0.0503, 0.08, 0.1, 0.1064, 0.15, 0.2, 0.2641, 0.3, 0.35,
-             0.4, 0.45)
-    events = tuple(Event(t, ("ac", "dc", "ds")[i % 3], (1.5e3, -0.7e3)[i % 2])
-                   for i, t in enumerate(times))
-    sc = Scenario(horizon_s=0.5, step_s=1e-4, output_every=1, events=events,
-                  initial_loads_w=(8e3, 8e3, 8e3))
-    got = run(sc, cfg)
-    monkeypatch.setattr(
-        hmg.sim, "_propagate",
-        lambda S, segments, x0, n_steps, every:
-            affine_loop(S, segments, x0, n_steps)[::every])
-    want = run(sc, cfg)
+    got = run(DENSE, cfg)
+
+    def plain_loop(Z, segments, z0, n_steps, every):
+        n = len(z0) - len(segments[0][1])
+        S, T = Z[:n, :n], Z[:n, n:]
+        X = affine_loop(S, [(k, T @ u) for k, u in segments], z0[:n], n_steps)
+        return np.hstack((X, _held(segments, range(n_steps + 1))))[::every]
+
+    monkeypatch.setattr(hmg.sim, "_propagate", plain_loop)
+    want = run(DENSE, cfg)
     assert len(got.t) == 5001
     for name in TRACE_COLUMNS:
         ref = want.column(name)
         np.testing.assert_allclose(got.column(name), ref, rtol=1e-9,
                                    atol=1e-9 * np.abs(ref).max(), err_msg=name)
+
+
+def test_one_power_stack_per_run(cfg, monkeypatch):
+    # the loads are input states, so one stack of sample-map powers serves
+    # all thirteen load segments
+    import hmg.sim
+
+    counts = []
+    powers = hmg.sim._powers
+
+    def counting(P, count):
+        counts.append(count)
+        return powers(P, count)
+
+    monkeypatch.setattr(hmg.sim, "_powers", counting)
+    run(DENSE, cfg)
+    assert counts == [hmg.sim._BLOCK_SAMPLES]
+
+
+ALL_TOGGLES = [Toggles(concatenator_enabled=c, restoration_enabled=r,
+                       ilc_enabled=i)
+               for c in (True, False) for r in (True, False)
+               for i in (True, False)]
+
+
+def _short_table1():
+    loaded = load_config(REPO / "configs" / "table1.cfg")
+    return loaded.config, replace(loaded.scenario(), horizon_s=3.0,
+                                  events=loaded.events[:3])
+
+
+def _pool_config_0(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import generators
+
+    loaded = generators.admissible_pool(1, 1)[0]
+    return loaded.config, loaded.scenario()
+
+
+@pytest.mark.parametrize("toggles", ALL_TOGGLES,
+                         ids=lambda t: "c{:d}r{:d}i{:d}".format(
+                             t.concatenator_enabled, t.restoration_enabled,
+                             t.ilc_enabled))
+@pytest.mark.parametrize("source", ("table1", "pool_config_0"))
+def test_output_map_matches_per_column_formulas(source, toggles, monkeypatch):
+    # every trace column is one row of the engine's output map over the
+    # states and loads; the reference computes each column on its own
+    import hmg.sim
+    from oracle import trace_columns
+
+    config, sc = (_short_table1() if source == "table1"
+                  else _pool_config_0(monkeypatch))
+    sc = replace(sc, toggles=toggles)
+    states = []
+    propagate = hmg.sim._propagate
+
+    def recording(*args):
+        states.append(propagate(*args))
+        return states[-1]
+
+    monkeypatch.setattr(hmg.sim, "_propagate", recording)
+    trace = run(sc, config)
+    eng = hmg.sim._engine(config, toggles, sc.step_s)
+    Zs, = states
+    steps = np.arange(len(trace.t)) * sc.output_every
+    loads = np.tile(sc.initial_loads_w, (len(steps), 1))
+    for e in sc.events:
+        loads[steps >= sc.step_of(e.time_s),
+              ("ac", "dc", "ds").index(e.kind)] += e.delta_w
+    assert np.array_equal(trace.loads_w, loads)
+    want = trace_columns(config, toggles, eng.idx, Zs[:, :eng.n], loads)
+    for name in TRACE_COLUMNS[1:]:
+        ref = want[name]
+        # the converter gains (~2.4e8 W per unit) scale the states' last bits
+        np.testing.assert_allclose(trace.column(name), ref, rtol=0.0,
+                                   atol=1e-11 * np.abs(ref).max(), err_msg=name)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +464,20 @@ def test_measure_rejects_second_load_change_within_rate_sample(cfg):
     with pytest.raises(SimError, match=r"\(1, 1\.01\] s after the event at "
                        r"t=1 s"):
         measure(trace, 1.0, require_settled=False)
+
+
+def test_measure_nadir_window_ends_at_any_load_change(cfg):
+    # the loads moved at 5 s keep the total constant; the window after the
+    # 1 s event still ends there, before the DC dip the 5 s change makes
+    sc = Scenario(horizon_s=10.0, step_s=1e-4,
+                  toggles=Toggles(ilc_enabled=False),
+                  events=(Event(1.0, "ac", 12e3), Event(1.0, "dc", 1e3),
+                          Event(5.0, "dc", 10e3), Event(5.0, "ac", -10e3)))
+    trace = run(sc, cfg)
+    m = measure(trace, 1.0, require_settled=False)
+    window = (trace.t >= 1.0) & (trace.t < 5.0)
+    assert m.nadir_vdc_v == trace.vdc_v[window].min()
+    assert m.nadir_vdc_v > trace.vdc_v.min() + 10.0
 
 
 def test_measure_not_settled(cfg):
@@ -520,6 +632,15 @@ def test_gecm_matches_decoupled_run(cfg):
                   toggles=Toggles(ilc_enabled=False))
     report = compare_with_gecm(sc, cfg)
     assert max(report.rms_fraction.values()) < 0.005
+
+
+@pytest.mark.parametrize("t0", (1.004, 1.00004))
+def test_gecm_aligns_a_first_event_between_samples(cfg, t0):
+    # the first group acts from step ceil(t0/h), between two 10 ms samples;
+    # the circuit model's load switches on at that same step
+    sc = Scenario(horizon_s=12.0, step_s=1e-4,
+                  events=tuple(replace(e, time_s=t0) for e in REF_EVENTS))
+    assert max(compare_with_gecm(sc, cfg).rms_fraction.values()) < 1e-5
 
 
 def test_gecm_window_past_horizon_rejected(cfg):
