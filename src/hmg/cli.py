@@ -7,10 +7,10 @@ HMG_LOG (error|info|debug); reports go to standard output with six
 significant digits.
 
 Exit codes: 0 success, 1 informational (design-report bound violation),
-2 configuration/usage error (including an unmeasurable scenario and any
-circuit-model or transfer-function error), 3 numerical divergence
-(including an unstable one-step map and a nodal solve that fails its
-residual gate).
+2 configuration/usage error (including an unmeasurable scenario, any
+circuit-model, subgrid, converter or transfer-function error, and an
+output path that cannot be written), 3 numerical divergence (including an
+unstable one-step map and a nodal solve that fails its residual gate).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .gecm import (
     restored_absolute_tf,
     solve_nodal,
 )
-from .ilc import concatenator_tf, design_omegas, min_cutoff
+from .ilc import IlcError, concatenator_tf, design_omegas, min_cutoff
 from .lti import LtiError, tf, tf_scale, tf_series
 from .sim import (
     NotSettled,
@@ -47,7 +47,7 @@ from .sim import (
     run,
     write_trace_csv,
 )
-from .subgrid import build_open_loop_tf
+from .subgrid import SubgridError, build_open_loop_tf
 
 log = logging.getLogger("hmg")
 
@@ -262,8 +262,12 @@ def main(argv=None) -> int:
     except (NumericalDivergence, SingularSystem) as exc:
         log.error("%s", exc)
         return EXIT_DIVERGED
-    except (ConfigError, SimError, GecmError, LtiError) as exc:
+    except (ConfigError, SimError, GecmError, LtiError, SubgridError,
+            IlcError) as exc:
         log.error("%s", exc)
+        return EXIT_CONFIG
+    except OSError as exc:  # an output path that cannot be written
+        log.error("cannot write %s: %s", exc.filename, exc.strerror)
         return EXIT_CONFIG
 
 

@@ -84,6 +84,8 @@ class HybridConfig:
             raise ConfigError("sim.horizon must be > 0")
         if self.output_every < 1:
             raise ConfigError("sim.output_every must be >= 1")
+        if self.omega_0 <= 0.0:
+            raise ConfigError("ilc.omega_0 must be > 0")
         if check_cutoff and not self.cutoff_bound_ok():
             bound = min_cutoff(self.ilc.sampling_period, self.ilc.safety_factor_m)
             raise ConfigError(

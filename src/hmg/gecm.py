@@ -196,13 +196,7 @@ def build_gecm(
     """Assemble the full circuit model; ilc None means no converter, cspec
     None unity concatenators."""
     z_ac, z_dc, z_ds = build_branch_impedances(ac, dc, ds)
-    if cspec is None:
-        unity = tf([1.0], [1.0])
-        t_ac = t_dc = t_ds = unity
-    else:
-        t_ac = concatenator_tf(cspec, "ac")
-        t_dc = concatenator_tf(cspec, "dc")
-        t_ds = concatenator_tf(cspec, "ds")
+    t_ac, t_dc, t_ds = (_concatenator(cspec, kind) for kind in KINDS)
     z1, z2 = (None, None) if ilc is None else ilc_equivalent_impedances(ilc)
     p_g = global_capacity((ac, dc, ds))
     return GecmSystem(

@@ -58,17 +58,16 @@ class FvtInvalid(LtiError):
 
 
 def _trim(coeffs) -> tuple[float, ...]:
-    c = [float(v) for v in coeffs]
+    c = list(map(float, coeffs))
     if not c:
         raise ValueError("empty coefficient list")
-    scale = max(abs(v) for v in c)
+    scale = max(map(abs, c))
     if scale == 0.0:
         return (0.0,)
     tol = TRIM_REL * scale
-    last = len(c) - 1
-    while last > 0 and abs(c[last]) < tol:
-        last -= 1
-    return tuple(c[: last + 1])
+    while len(c) > 1 and abs(c[-1]) < tol:
+        c.pop()
+    return tuple(c)
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ class Polynomial:
         return acc
 
     def scaled(self, k: float) -> "Polynomial":
-        return Polynomial(tuple(k * c for c in self.coeffs))
+        return Polynomial(tuple([k * c for c in self.coeffs]))
 
     def roots(self) -> np.ndarray:
         """Roots via the companion-matrix eigenvalues of numpy.roots."""
@@ -277,14 +276,12 @@ def rk4_step_maps(ss: StateSpace, h: float) -> tuple[np.ndarray, np.ndarray]:
     A = ss.A
     eye = np.eye(n)
     hA = h * A
-    M = eye.copy()
-    term = eye
+    M = term = eye
     for k in (1, 2, 3, 4):
         term = term @ hA / k
         M = M + term
     # N = (h I + h^2 A/2 + h^3 A^2/6 + h^4 A^3/24) B
-    term = h * eye
-    acc = term.copy()
+    acc = term = h * eye
     for k in (2, 3, 4):
         term = term @ hA / k
         acc = acc + term

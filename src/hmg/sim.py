@@ -1,18 +1,18 @@
 """Coupled time-domain simulation of the three subgrids and the converter.
 
 The whole closed loop is linear: subgrid blocks, concatenators, converter
-PI loops and the storage split filter are LTI, the restoration PI is a
-linear discrete update, and the only exogenous inputs are the (piecewise
-constant) load powers. The engine therefore precomputes, per block, the
-exact one-step RK4 map for inputs held constant over the step, chains it
-with the algebraic coupling relations evaluated at the step start, and
-composes the map x+ = S x + T u. The inputs u are carried as constant
-states, so the whole run is one linear system z+ = Z z on z = [x; u] whose
-input states a load change rewrites, and every trace column is one row of
-one output matrix over z. One power of Z advances a whole output sample,
-and one product with the stacked powers, built once per run, advances up
-to _BLOCK_SAMPLES samples at once. This is algebraically identical to
-stepping every block by classical RK4 under held inputs (it differs by
+PI loops and the storage split filter are LTI, restoration is a linear
+discrete update, and the only inputs are the piecewise constant loads.
+The engine is one table of blocks, the PIs included, each one entry: a
+one-step map (M, N), the exact RK4 map under held inputs or restoration's
+velocity form, and a drive row, the coupling at the step start. Every row
+comes from one output rule. The inputs u are carried as constant states,
+so the whole run is one linear system z+ = Z z on z = [x; u] whose input
+states a load change rewrites, and every trace column is one row of one
+output matrix over z. One power of Z advances a whole output sample, and
+one product with the stacked powers, built once per run, advances up to
+_BLOCK_SAMPLES samples at once. This is algebraically identical to
+stepping every block on its own under held inputs (it differs by
 round-off only), and fast enough for sub-millisecond steps over long
 horizons, recorded at every step or not. A map whose spectral radius is
 not below 1 is rejected at assembly, with the largest stable step named.
@@ -141,10 +141,6 @@ class Metrics:
 # engine assembly
 # ---------------------------------------------------------------------------
 
-# Converter PI integrator dz/dt = e; its RK4 map is exactly M = 1, N = h.
-_INTEGRATOR = StateSpace(A=np.zeros((1, 1)), B=np.ones(1), C=np.ones(1), D=0.0)
-
-
 class _Engine:
     """Composed one-step linear map of the full closed loop and its loads.
 
@@ -158,114 +154,103 @@ class _Engine:
     u. Every trace column after t_s is one row of the output map C over z,
     in TRACE_COLUMNS order.
 
-    Every integrating block is a StateSpace driven by one row over z and
-    advances by its RK4 one-step map; the restoration PI is a discrete
-    update. The arrays are read-only: `run` shares one engine between the
-    calls that analyse a configuration.
+    The plant is one table of blocks in that order. Every block, the
+    converter and restoration PIs included, is one entry: a one-step map
+    x_b+ = M x_b + N drive, a drive row over z, and an output C x_b +
+    D drive. The LTI blocks step by their RK4 maps, restoration by its
+    exact velocity form. One loop stamps every entry into Z, and every
+    output row comes from one rule. The arrays are read-only: `run` shares
+    one engine between the calls that analyse a configuration.
     """
 
     def __init__(self, config: HybridConfig, toggles: Toggles, h: float):
         specs = config.specs
         cspec = config.concatenator_spec() if toggles.concatenator_enabled else None
-
-        blocks = [tf_to_statespace(build_open_loop_tf(s)) for s in specs]
         p_l_tf, _ = hess_split(1.0, specs[2])  # designs y_l when absent
-        split_a = tf_to_statespace(p_l_tf)
-        conc = []
-        pi = []
+
+        # the LTI blocks by group, in state order
+        lti = [(kind, [tf_to_statespace(build_open_loop_tf(s))])
+               for kind, s in zip(KIND_ORDER, specs)]
+        lti.append(("split", [tf_to_statespace(p_l_tf)]))
         if toggles.ilc_enabled:
             if cspec is not None:
-                conc = [tf_to_statespace(concatenator_tf(cspec, kind))
-                        for kind in KIND_ORDER]
-            pi = [_INTEGRATOR, _INTEGRATOR]
-
-        idx = {}
-        pos = 0
-        groups = [(kind, [b]) for kind, b in zip(KIND_ORDER, blocks)]
-        groups += [("split", [split_a]), ("conc", conc), ("pi", pi)]
-        for name, group in groups:
-            if group:
-                width = sum(b.order for b in group)
-                idx[name] = slice(pos, pos + width)
-                pos += width
+                lti.append(("conc", [tf_to_statespace(concatenator_tf(cspec, kind))
+                                     for kind in KIND_ORDER]))
+            ilc = config.ilc
+            # the converter PI on its error e: z' = e, output k_i z + k_p e
+            lti.append(("pi", [
+                StateSpace(A=np.zeros((1, 1)), B=np.ones(1), C=np.array([k_i]), D=k_p)
+                for k_p, k_i in ((ilc.k_tp1, ilc.k_ti1), (ilc.k_tp2, ilc.k_ti2))]))
+        # the block table: (group, [(M, N, C, D) per block])
+        table = [(name, [(*rk4_step_maps(b, h), b.C, b.D) for b in group])
+                 for name, group in lti]
         if toggles.restoration_enabled:
-            idx["rest"] = slice(pos, pos + 6)  # (comp, e_prev) per subgrid
-            pos += 6
+            # velocity form: comp+ = comp + (k_p + k_i h) e - k_p e_prev, e_prev+ = e
+            table.append(("rest", [(np.array([[1.0, -s.k_p], [0.0, 0.0]]),
+                                    np.array([s.k_p + s.k_i * h, 1.0]),
+                                    np.array([1.0, 0.0]), 0.0) for s in specs]))
+
+        blocks, idx, pos = {}, {}, 0             # (group, i) -> (span, M, N, C, D)
+        for name, group in table:
+            start = pos
+            for i, (M, N, C, D) in enumerate(group):
+                blocks[name, i] = (slice(pos, pos + len(M)), M, N, C, D)
+                pos += len(M)
+            idx[name] = slice(start, pos)
         self.n = n = pos
         self.idx = idx
         w, one = n + 4, n + 3                    # z width, the constant input
 
-        # deviation rows: delta_x_pu = C_block x
-        dev_rows = np.zeros((3, w))
-        for i, (kind, b) in enumerate(zip(KIND_ORDER, blocks)):
-            dev_rows[i, idx[kind]] = b.C
-        comp_rows = np.zeros((3, w))
-        if toggles.restoration_enabled:
-            for i in range(3):
-                comp_rows[i, idx["rest"].start + 2 * i] = 1.0
+        def output(key, drive):
+            """The block's output row over z: D drive, plus C on its states."""
+            span, _, _, C, D = blocks[key]
+            row = D * drive
+            row[span] += C
+            return row
 
-        # concatenated deviations c = dev + (w_x - w0) z_c (when enabled)
-        conc_rows = dev_rows.copy()
-        for i, c in enumerate(conc):
-            conc_rows[i, idx["conc"].start + i] = c.C[0]
+        # strictly proper blocks are read with no drive: no feedthrough
+        zero = np.zeros(w)
+        dev_rows = np.array([output((kind, 0), zero) for kind in KIND_ORDER])
+        comp_rows = (np.array([output(("rest", i), zero) for i in range(3)])
+                     if "rest" in idx else np.zeros((3, w)))
+        # concatenated deviations c = T_x dev, dev itself when bypassed
+        c = ([output(("conc", i), dev_rows[i]) for i in range(3)]
+             if "conc" in idx else dev_rows)
+        e_rows = [c[2] - c[1], c[2] - c[0]]      # c_ds - c_dc, c_ds - c_ac
 
         # converter powers in watts
-        p_rows = np.zeros((2, w))
-        e_rows = [conc_rows[2] - conc_rows[1],    # c_ds - c_dc
-                  conc_rows[2] - conc_rows[0]]    # c_ds - c_ac
-        if toggles.ilc_enabled:
-            ilc = config.ilc
-            for j, (k_p, k_i) in enumerate(((ilc.k_tp1, ilc.k_ti1),
-                                            (ilc.k_tp2, ilc.k_ti2))):
-                p_rows[j] = k_p * e_rows[j]
-                p_rows[j, idx["pi"].start + j] += k_i
-            p_rows *= config.p_gmax_w
-        p1, p2 = p_rows
+        p1, p2 = ([output(("pi", j), e) * config.p_gmax_w
+                   for j, e in enumerate(e_rows)] if "pi" in idx else (zero, zero))
 
         # subgrid output powers in watts: the load less the converter power
         p_out = np.array([-p2, -p1, p1 + p2])
         p_out[:, n:one] += np.eye(3)
-        p_l = np.zeros(w)
-        p_l[idx["split"].start] = split_a.C[0] * specs[2].p_max_w
+        p_l = output(("split", 0), zero) * specs[2].p_max_w
 
-        # (block, first state, drive row over z); the subgrid blocks and the
-        # split filter see local per-unit output power
-        drives = [(b, idx[kind].start, p_out[i] / specs[i].p_max_w)
-                  for i, (kind, b) in enumerate(zip(KIND_ORDER, blocks))]
-        drives.append((split_a, idx["split"].start, p_out[2] / specs[2].p_max_w))
-        drives += [(c, idx["conc"].start + i, dev_rows[i])
-                   for i, c in enumerate(conc)]
-        drives += [(z, idx["pi"].start + j, e_rows[j])
-                   for j, z in enumerate(pi)]
+        # drive rows; the subgrid blocks and the split filter see local
+        # per-unit output power, restoration e = (x_n* - 1) - dev - comp
+        drives = {("split", 0): p_out[2] / specs[2].p_max_w,
+                  ("pi", 0): e_rows[0], ("pi", 1): e_rows[1]}
+        for i, (kind, spec) in enumerate(zip(KIND_ORDER, specs)):
+            drives[kind, 0] = p_out[i] / spec.p_max_w
+            drives["conc", i] = dev_rows[i]
+            drives["rest", i] = e = -dev_rows[i] - comp_rows[i]
+            e[one] = spec.x_nominal_pu - 1.0
 
         # one-step update z+ = Z z
         Z = np.zeros((w, w))
         Z[n:, n:] = np.eye(4)
-        for b, start, drive in drives:
-            M, N = rk4_step_maps(b, h)
-            block = slice(start, start + b.order)
-            Z[block, block] = M
-            Z[block, :] += np.outer(N, drive)
-        if toggles.restoration_enabled:
-            for i, spec in enumerate(specs):
-                comp_pos = idx["rest"].start + 2 * i
-                eprev_pos = comp_pos + 1
-                # e = (x_n* - 1) - dev - comp
-                e_row = -dev_rows[i] - comp_rows[i]
-                e_row[one] = spec.x_nominal_pu - 1.0
-                gain = spec.k_p + spec.k_i * h
-                Z[comp_pos, comp_pos] += 1.0
-                Z[comp_pos, :] += gain * e_row
-                Z[comp_pos, eprev_pos] += -spec.k_p
-                Z[eprev_pos, :] += e_row
+        for key, (span, M, N, _, _) in blocks.items():
+            Z[span, span] = M
+            Z[span, :] += N[:, None] * drives[key]
 
         # output map, rows in TRACE_COLUMNS order: bus values
         # x* = (1 + dev + comp) x_max, the powers, the compensations in SI
         bases = np.array([s.x_max for s in specs])[:, None]
         bus = (dev_rows + comp_rows) * bases
         bus[:, one] += bases[:, 0]
-        C = np.vstack((bus, p_out, p_l, p_out[2] - p_l, p1, p2,
-                       comp_rows * bases))
+        C = np.concatenate((bus, p_out, [p_l, p_out[2] - p_l, p1, p2],
+                            comp_rows * bases))
 
         for a in (Z, C, dev_rows):
             a.setflags(write=False)

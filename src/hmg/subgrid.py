@@ -44,7 +44,7 @@ class SubgridError(Exception):
 
 
 class DegenerateLimits(SubgridError):
-    """x_max equals x_min; droop design has nothing to work with."""
+    """x_min is not below x_max; droop design has nothing to work with."""
 
 
 class NegativeDroop(SubgridError):
@@ -81,6 +81,12 @@ class SubgridSpec:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise SubgridError(f"unknown subgrid kind {self.kind!r}")
+        # the per-unit base and band, whether or not the droop is given
+        if self.x_max <= 0.0:
+            raise SubgridError(f"{self.kind}: x_max must be > 0, got {self.x_max}")
+        if self.x_min >= self.x_max:
+            raise DegenerateLimits(f"{self.kind}: need x_min < x_max, got "
+                                   f"{self.x_min}, {self.x_max}")
         # nominal may sit on the lower limit (the reference DC bus does)
         if not (self.x_min <= self.x_nominal <= self.x_max):
             raise SubgridError(

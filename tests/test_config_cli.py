@@ -444,10 +444,17 @@ def test_cli_missing_config_file(tmp_path, capsys):
     ("f_max = 51 ", "f_max = 0 "),
     ("v_max = 380 ", "v_max = 0 "),
     ("v_max = 710 ", "v_max = 0 "),
-], ids=["ac", "dc", "ds"])
+    ("f_max = 51 ", "droop = 0.05\nf_max = 0 "),
+    ("v_max = 380 ", "droop = 0.05\nv_max = 0 "),
+    ("v_max = 710 ", "y_l = 35.5\nv_max = 0 "),
+    ("f_max = 51          # Hz\nf_min = 49\nf_nominal = 50",
+     "droop = 0.05\nf_max = -1\nf_min = -3\nf_nominal = -2"),
+], ids=["ac", "dc", "ds", "ac-droop-given", "dc-droop-given", "ds-y_l-given",
+        "ac-negative-band-droop-given"])
 def test_cli_non_positive_upper_limit_exit2(tmp_path, table1_text, caplog,
                                             old, new):
-    # x_max = 0 would divide by zero in the droop design
+    # x_max <= 0 leaves no per-unit base: the droop design would divide by
+    # zero, and a given droop must not let the limits through either
     text = table1_text.replace(old, new, 1)
     assert text != table1_text
     with pytest.raises(ConfigError, match="x_max must be > 0"):
@@ -456,6 +463,46 @@ def test_cli_non_positive_upper_limit_exit2(tmp_path, table1_text, caplog,
     path.write_text(text)
     assert main(["predict", "--config", str(path)]) == 2
     assert "x_max must be > 0" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["simulate", "design", "bode", "predict"])
+def test_cli_equal_limits_with_given_droop_exit2(tmp_path, table1_text, caplog,
+                                                 command):
+    # with the droop given no design step sees the empty band, so the
+    # limits themselves are checked
+    text = table1_text.replace(
+        "f_min = 49\nf_nominal = 50", "f_min = 51\nf_nominal = 51\ndroop = 0.05")
+    assert text != table1_text
+    path = tmp_path / "equal.cfg"
+    path.write_text(text)
+    args = {"simulate": ["--out", str(tmp_path / "out")],
+            "bode": ["N_ac1", "--out", str(tmp_path / "x.csv")]}
+    assert main([command, *args.get(command, []), "--config", str(path)]) == 2
+    assert "ac: need x_min < x_max, got 51.0, 51.0" in caplog.text
+
+
+def test_cli_design_non_positive_cutoff_exit2(tmp_path, table1_text, caplog):
+    # design defers only the resolution bound, not the cutoff's sign
+    path = tmp_path / "w0.cfg"
+    path.write_text(table1_text.replace("omega_0 = 3.141592653589793e-3",
+                                        "omega_0 = -1"))
+    assert main(["design", "--config", str(path)]) == 2
+    assert "ilc.omega_0 must be > 0" in caplog.text
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["simulate", "--out", "{f}"], "{f}"),
+    (["predict", "--out", "{d}/missing/x.csv"], "{d}/missing/x.csv"),
+    (["bode", "N_ac1", "--out", "{f}/x.csv"], "{f}/x.csv"),
+], ids=["simulate-out-is-a-file", "predict-out-dir-missing",
+        "bode-out-under-a-file"])
+def test_cli_unwritable_output_exit2(tmp_path, caplog, argv, bad):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    fill = {"f": str(a_file), "d": str(tmp_path)}
+    argv = [a.format(**fill) for a in argv] + ["--config", str(TABLE1)]
+    assert main(argv) == 2
+    assert f"cannot write {bad.format(**fill)}:" in caplog.text
 
 
 # ---------------------------------------------------------------------------

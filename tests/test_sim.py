@@ -230,6 +230,92 @@ def test_composed_engine_matches_per_block_stepping(cfg):
                                   rel=1e-9, abs=1e-15)
 
 
+ALL_TOGGLES = [Toggles(concatenator_enabled=c, restoration_enabled=r,
+                       ilc_enabled=i)
+               for c in (True, False) for r in (True, False)
+               for i in (True, False)]
+
+
+def _toggles_id(t):
+    return "c{:d}r{:d}i{:d}".format(t.concatenator_enabled,
+                                    t.restoration_enabled, t.ilc_enabled)
+
+
+@pytest.mark.parametrize("toggles", ALL_TOGGLES[1:], ids=_toggles_id)
+def test_composed_engine_matches_per_block_stepping_under_toggles(cfg, toggles):
+    # every conditional group of the block table against the per-block
+    # reference: no concatenator is cspec=None, no converter is no ILC step
+    # and p1 = p2 = 0, no restoration is no restoration step
+    from hmg.lti import tf_to_statespace
+    from hmg.sim import _Engine
+    from hmg.subgrid import build_open_loop_tf, hess_split
+    from oracle import (
+        IlcState,
+        SubgridState,
+        ilc_outputs,
+        ilc_step,
+        restoration_step,
+        step_rk4,
+    )
+
+    h = 1e-4
+    eng = _Engine(cfg, toggles, h)
+    conc_on = toggles.ilc_enabled and toggles.concatenator_enabled
+    groups = {"ac", "dc", "ds", "split"}
+    groups |= {"conc"} if conc_on else set()
+    groups |= {"pi"} if toggles.ilc_enabled else set()
+    groups |= {"rest"} if toggles.restoration_enabled else set()
+    assert set(eng.idx) == groups
+    loads = np.array([12e3, 14e3, 10e3])
+    u = np.append(loads, 1.0)
+    x = np.zeros(eng.n)
+
+    blocks = [tf_to_statespace(build_open_loop_tf(s)) for s in cfg.specs]
+    split = tf_to_statespace(hess_split(1.0, cfg.ds)[0])
+    block_x = [np.zeros(b.order) for b in blocks]
+    split_x = np.zeros(1)
+    ilc_state = IlcState()
+    cspec = cfg.concatenator_spec() if toggles.concatenator_enabled else None
+    rest = [SubgridState() for _ in cfg.specs]
+
+    for _ in range(200):
+        x = eng.S @ x + eng.T @ u
+
+        devs = [float(b.C @ bx) for b, bx in zip(blocks, block_x)]
+        p1_w = p2_w = 0.0
+        if toggles.ilc_enabled:
+            _, _, _, p1_w, p2_w = ilc_outputs(
+                ilc_state, devs[0], devs[1], devs[2], cfg.ilc, cspec,
+                cfg.p_gmax_w)
+            ilc_state = ilc_step(ilc_state, devs[0], devs[1], devs[2],
+                                 cfg.ilc, cspec, h, cfg.p_gmax_w)
+        p_o = (loads[0] - p2_w, loads[1] - p1_w, loads[2] + p1_w + p2_w)
+        block_x = [
+            step_rk4(b, bx, p_o[i] / cfg.specs[i].p_max_w, h)
+            for i, (b, bx) in enumerate(zip(blocks, block_x))
+        ]
+        split_x = step_rk4(split, split_x, p_o[2] / cfg.ds.p_max_w, h)
+        if toggles.restoration_enabled:
+            for i, spec in enumerate(cfg.specs):
+                rest[i].delta_x_pu = devs[i]
+                rest[i] = restoration_step(rest[i], spec.x_nominal_pu, h, spec)
+
+    for i, kind in enumerate(("ac", "dc", "ds")):
+        assert x[eng.idx[kind]] == pytest.approx(block_x[i], rel=1e-9, abs=1e-15)
+    assert x[eng.idx["split"]] == pytest.approx(split_x, rel=1e-9, abs=1e-15)
+    if conc_on:
+        assert x[eng.idx["conc"]] == pytest.approx(
+            [ilc_state.z_ac, ilc_state.z_dc, ilc_state.z_ds], rel=1e-9, abs=1e-18)
+    if toggles.ilc_enabled:
+        assert x[eng.idx["pi"]] == pytest.approx(
+            [ilc_state.z1, ilc_state.z2], rel=1e-9, abs=1e-18)
+    if toggles.restoration_enabled:
+        start = eng.idx["rest"].start
+        comps = x[[start, start + 2, start + 4]]
+        assert comps == pytest.approx([r.delta_comp_pu for r in rest],
+                                      rel=1e-9, abs=1e-15)
+
+
 def test_time_column_by_name(cfg):
     trace = run(Scenario(horizon_s=1.0, step_s=2e-4, output_every=50), cfg)
     assert trace.column(TRACE_COLUMNS[0]) is trace.t
@@ -370,12 +456,6 @@ def test_one_power_stack_per_run(cfg, monkeypatch):
     assert counts == [hmg.sim._BLOCK_SAMPLES]
 
 
-ALL_TOGGLES = [Toggles(concatenator_enabled=c, restoration_enabled=r,
-                       ilc_enabled=i)
-               for c in (True, False) for r in (True, False)
-               for i in (True, False)]
-
-
 def _short_table1():
     loaded = load_config(REPO / "configs" / "table1.cfg")
     return loaded.config, replace(loaded.scenario(), horizon_s=3.0,
@@ -390,10 +470,7 @@ def _pool_config_0(monkeypatch):
     return loaded.config, loaded.scenario()
 
 
-@pytest.mark.parametrize("toggles", ALL_TOGGLES,
-                         ids=lambda t: "c{:d}r{:d}i{:d}".format(
-                             t.concatenator_enabled, t.restoration_enabled,
-                             t.ilc_enabled))
+@pytest.mark.parametrize("toggles", ALL_TOGGLES, ids=_toggles_id)
 @pytest.mark.parametrize("source", ("table1", "pool_config_0"))
 def test_output_map_matches_per_column_formulas(source, toggles, monkeypatch):
     # every trace column is one row of the engine's output map over the
