@@ -74,6 +74,14 @@ def _setup_logging() -> None:
                         format="hmg: %(levelname)s: %(message)s")
 
 
+def _create(path):
+    """Open an output file for writing, making its missing directories; a
+    file in the way is left to `open`, whose error names the path."""
+    if not Path(path).parent.exists():
+        Path(path).parent.mkdir(parents=True)
+    return open(path, "w")
+
+
 def _metrics_pairs(m, settled: bool) -> list[tuple[str, float | bool]]:
     return [
         ("rocof_hz_per_s", m.rocof_hz_s),
@@ -153,7 +161,7 @@ def cmd_predict(args) -> int:
     for name, value, unit in rows:
         print(f"{name}: {_fmt(value)} {unit}")
     if args.out:
-        with open(args.out, "w") as fh:
+        with _create(args.out) as fh:
             fh.write("name,value,unit\n")
             for name, value, unit in rows:
                 fh.write(f"{name},{_fmt(value)},{unit}\n")
@@ -164,18 +172,15 @@ def cmd_predict(args) -> int:
 def _bode_tf(loaded: LoadedRun, target: str):
     cfg = loaded.config
     specs = cfg.specs
-    cspec = cfg.concatenator_spec()
     by_kind = dict(zip(("ac", "dc", "ds"), specs))
     if target.startswith("T_"):
-        return concatenator_tf(cspec, target[2:])
+        return concatenator_tf(cfg.concatenator_spec(), target[2:])
     if target.endswith("0"):
         return build_open_loop_tf(by_kind[target[2:-1]])
+    ilc, used = cfg.coupling(loaded.toggles)
     if target.endswith("1"):
-        used = cspec if loaded.toggles.concatenator_enabled else None
         return ideal_global_deviation_tf(specs, used, target[2:-1])
     # f_closed: absolute AC frequency in Hz for the first load-step group
-    used = cspec if loaded.toggles.concatenator_enabled else None
-    ilc = cfg.ilc if loaded.toggles.ilc_enabled else None
     sys_ = build_gecm(*specs, ilc, used, loaded.scenario().first_group_w())
     sol = solve_nodal(sys_)
     dev = tf_series(sol.delta_f_pu, tf([1.0], [0.0, 1.0]))
@@ -189,9 +194,7 @@ def cmd_bode(args) -> int:
     f = _bode_tf(loaded, args.target)
     rows = bode_export(f, default_bode_grid())
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
+    with _create(out) as fh:
         fh.write("omega_rad_s,mag_db,phase_deg\n")
         for w, mag, phase in rows:
             fh.write(f"{w:.6g},{mag:.6g},{phase:.6g}\n")

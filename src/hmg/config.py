@@ -74,6 +74,12 @@ class HybridConfig:
     def concatenator_spec(self) -> ConcatenatorSpec:
         return design_omegas(self.omega_0, self.ac, self.dc, self.ds)
 
+    def coupling(self, toggles: Toggles) -> tuple[IlcSpec | None,
+                                                  ConcatenatorSpec | None]:
+        """(converter, concatenator) the toggles keep, None for one switched off."""
+        return (self.ilc if toggles.ilc_enabled else None,
+                self.concatenator_spec() if toggles.concatenator_enabled else None)
+
     def validate(self, check_cutoff: bool = True) -> None:
         for spec in self.specs:
             spec.validate()

@@ -117,15 +117,16 @@ class NodalSolution:
     """Per-unit deviation responses to the configured step injections.
 
     x' = A x + b u is the circuit driven by u, a unit step of the loads
-    stored in the GecmSystem (b = B P_L); row i of C reads the deviation of
-    KINDS[i]. Each channel F(s) = C_x (sI - A)^-1 b satisfies
-    deviation(s) = F(s)/s. The residual is the worst relative error of
-    G(s) V(s) = I_P over RESIDUAL_POINTS. `solve_nodal` hands the same
-    solution to every caller that solves one system, so its arrays are
-    read-only.
+    stored in the GecmSystem (b = B P_L, column i of B taking the global
+    per-unit load of KINDS[i]); row i of C reads the deviation of KINDS[i].
+    Each channel F(s) = C_x (sI - A)^-1 b satisfies deviation(s) = F(s)/s.
+    The residual is the worst relative error of G(s) V(s) = I_P over
+    RESIDUAL_POINTS. `solve_nodal` hands the same solution to every caller
+    that solves one system, so its arrays are read-only.
     """
 
     A: np.ndarray
+    B: np.ndarray
     b: np.ndarray
     C: np.ndarray
     residual: float
@@ -292,9 +293,9 @@ def solve_nodal(sys: GecmSystem) -> NodalSolution:
     sys.validate()
     A, B, C = _interconnect(sys)
     b = B @ np.array([sys.p_lac_gpu, sys.p_ldc_gpu, sys.p_lds_gpu])
-    for a in (A, b, C):
+    for a in (A, B, b, C):
         a.setflags(write=False)
-    sol = NodalSolution(A=A, b=b, C=C, residual=float("nan"))
+    sol = NodalSolution(A=A, B=B, b=b, C=C, residual=float("nan"))
     residual = _back_substitution_residual(sys, sol)
     if not residual <= RESIDUAL_TOL:
         raise SingularSystem(

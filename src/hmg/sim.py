@@ -7,15 +7,17 @@ The engine is one table of blocks, the PIs included, each one entry: a
 one-step map (M, N), the exact RK4 map under held inputs or restoration's
 velocity form, and a drive row, the coupling at the step start. Every row
 comes from one output rule. The inputs u are carried as constant states,
-so the whole run is one linear system z+ = Z z on z = [x; u] whose input
-states a load change rewrites, and every trace column is one row of one
-output matrix over z. One power of Z advances a whole output sample, and
-one product with the stacked powers, built once per run, advances up to
-_BLOCK_SAMPLES samples at once. This is algebraically identical to
-stepping every block on its own under held inputs (it differs by
-round-off only), and fast enough for sub-millisecond steps over long
-horizons, recorded at every step or not. A map whose spectral radius is
-not below 1 is rejected at assembly, with the largest stable step named.
+so the whole run is one linear system z+ = Z z on z = [x; u], a load step
+is a kick that adds to the input states, and every trace column is one
+row of one output matrix over z. One power of Z advances a whole output
+sample, and one product with the stacked powers, built once per run,
+advances up to _BLOCK_SAMPLES samples at once. This is algebraically
+identical to stepping every block on its own under held inputs (it
+differs by round-off only), and fast enough for sub-millisecond steps
+over long horizons, recorded at every step or not. A map whose spectral
+radius is not below 1 is rejected at assembly, with the largest stable
+step named. The circuit-model cross-check takes the same kicks through
+the same propagator.
 
 Coupling sign conventions (converter powers in watts on the global base):
 
@@ -149,10 +151,9 @@ class _Engine:
                        | restoration (comp, e_prev) x 3
                        | P_lac_w P_ldc_w P_lds_w 1 ].
     The first n states are the plant x; the last four are the inputs u,
-    held constant by the identity block of Z = [[S, T], [0, I]], so
-    between load changes the run is z+ = Z z and a load change rewrites
-    u. Every trace column after t_s is one row of the output map C over z,
-    in TRACE_COLUMNS order.
+    held constant by the identity block of Z = [[S, T], [0, I]], so the
+    run is z+ = Z z and a load step adds to u. Every trace column after
+    t_s is one row of the output map C over z, in TRACE_COLUMNS order.
 
     The plant is one table of blocks in that order. Every block, the
     converter and restoration PIs included, is one entry: a one-step map
@@ -165,18 +166,17 @@ class _Engine:
 
     def __init__(self, config: HybridConfig, toggles: Toggles, h: float):
         specs = config.specs
-        cspec = config.concatenator_spec() if toggles.concatenator_enabled else None
+        ilc, cspec = config.coupling(toggles)
         p_l_tf, _ = hess_split(1.0, specs[2])  # designs y_l when absent
 
         # the LTI blocks by group, in state order
         lti = [(kind, [tf_to_statespace(build_open_loop_tf(s))])
                for kind, s in zip(KIND_ORDER, specs)]
         lti.append(("split", [tf_to_statespace(p_l_tf)]))
-        if toggles.ilc_enabled:
+        if ilc is not None:
             if cspec is not None:
                 lti.append(("conc", [tf_to_statespace(concatenator_tf(cspec, kind))
                                      for kind in KIND_ORDER]))
-            ilc = config.ilc
             # the converter PI on its error e: z' = e, output k_i z + k_p e
             lti.append(("pi", [
                 StateSpace(A=np.zeros((1, 1)), B=np.ones(1), C=np.array([k_i]), D=k_p)
@@ -300,15 +300,15 @@ def _stable_step_note(config: HybridConfig, toggles: Toggles, h: float) -> str:
 
 
 def _schedule(scenario: Scenario) -> list[tuple[int, np.ndarray]]:
-    """Input segments (first step, u = [P_lac_w, P_ldc_w, P_lds_w, 1]): a
-    load step at time t acts from step `scenario.step_of(t)` on."""
-    current = np.append(scenario.initial_loads_w, 1.0)
-    segments = [(0, current)]
+    """Load kicks (step k, du) in event order: du adds the event's size to its
+    input state of u = [P_lac_w, P_ldc_w, P_lds_w, 1], and a load step at
+    time t acts from step `scenario.step_of(t)` on."""
+    kicks = []
     for e in scenario.events:
-        current = current.copy()
-        current[KIND_ORDER.index(e.kind)] += e.delta_w
-        segments.append((scenario.step_of(e.time_s), current))
-    return segments
+        du = np.zeros(4)
+        du[KIND_ORDER.index(e.kind)] = e.delta_w
+        kicks.append((scenario.step_of(e.time_s), du))
+    return kicks
 
 
 # Whole output samples written per product: the stack of the first
@@ -319,54 +319,45 @@ def _schedule(scenario: Scenario) -> list[tuple[int, np.ndarray]]:
 _BLOCK_SAMPLES = 64
 
 
-def _propagate(Z: np.ndarray, segments, z0: np.ndarray, n_steps: int,
+def _propagate(Z: np.ndarray, kicks, z0: np.ndarray, n_samples: int,
                every: int) -> np.ndarray:
-    """Iterate z+ = Z z over n_steps steps from z0.
+    """States at steps 0, every, ..., n_samples * every of z+ = Z z from z0,
+    shape (n_samples + 1, len(z0)); a sample records the inputs acting over
+    the step it starts.
 
-    The last len(u) entries of z are input states that Z holds constant;
-    each (first step, u) segment writes its u into them at its first step,
-    and one that starts past n_steps never acts. Returns the states at
-    steps 0, every, 2*every, ..., shape (n_steps // every + 1, len(z0)); a
-    sample records the inputs acting over the step it starts.
+    The last len(du) entries of z are input states that Z holds constant,
+    and each (step k, du) kick adds du to them from step k on. Z is linear,
+    so the kick reaches the first sample that shows it, j = ceil(k/every),
+    as Z**(j*every - k) [0; du]; one on the grid adds du to the input
+    states only. A kick past the last sample never acts.
 
     One output sample is one application of P = Z**every. The stack P,
     P**2, ..., P**_BLOCK_SAMPLES is built once by doubling, and each run of
-    up to _BLOCK_SAMPLES whole samples inside a segment is one product of
-    that stack with z (the chunked form of a linear-recurrence scan).
-    Single steps are taken only from a segment's first step up to the next
-    sample, and from its last whole sample up to the next segment. The
-    result differs from the plain loop z = Z z by round-off only.
+    up to _BLOCK_SAMPLES samples between kicked ones is one product of that
+    stack with z (the chunked form of a linear-recurrence scan). The result
+    differs from the plain loop z = Z z by round-off only.
     """
     w = len(z0)
-    X = np.empty((n_steps // every + 1, w))
+    X = np.empty((n_samples + 1, w))
+    X[0] = z0
     # the stack as one (count * w, w) matrix: one matrix-vector product
     # advances a run of samples, faster than a batched product
     Q = _powers(np.linalg.matrix_power(Z, every),
-                min(max(n_steps // every, 1), _BLOCK_SAMPLES)).reshape(-1, w)
-    z = z0
-    k = 0
-    ends = [first for first, _ in segments[1:]] + [n_steps]
-    for (first, u), k_end in zip(segments, ends):
-        if first > n_steps:
-            break
-        z = np.concatenate((z[:-len(u)], u))  # a copy: z may view X[j]
-        k_end = min(k_end, n_steps)
-        for _ in range(min(-k % every, k_end - k)):  # up to the next sample
-            z = Z @ z
-            k += 1
-        if k % every == 0:
-            X[k // every] = z
-        m = (k_end - k) // every                      # whole samples
-        j, j_end = k // every, k // every + m
+                min(max(n_samples, 1), _BLOCK_SAMPLES)).reshape(-1, w)
+
+    j = 0
+    for k, du in [*kicks, (n_samples * every, None)]:  # None: fill to the end
+        j_end = min(-(-k // every), n_samples)  # the first sample showing step k
         while j < j_end:
             b = min(len(Q) // w, j_end - j)
-            X[j + 1:j + b + 1] = (Q[:b * w] @ z).reshape(b, w)
+            X[j + 1:j + b + 1] = (Q[:b * w] @ X[j]).reshape(b, w)
             j += b
-            z = X[j]
-        k += m * every
-        for _ in range(k_end - k):                    # up to the next segment
-            z = Z @ z
-            k += 1
+        if du is None or k > n_samples * every:
+            continue
+        if j * every > k:  # off the grid: Z**r carries the kick to sample j
+            X[j, :-len(du)] += np.linalg.matrix_power(
+                Z, j * every - k)[:-len(du), -len(du):] @ du
+        X[j, -len(du):] += du
     return X
 
 
@@ -407,10 +398,9 @@ def run(scenario: Scenario, config: HybridConfig) -> SimTrace:
             f"one-step map unstable at step {h:g} s: spectral radius "
             f"{rho:.7g} >= 1; {_stable_step_note(config, scenario.toggles, h)}"
         )
-    n_steps = int(round(scenario.horizon_s / h))
-    segments = _schedule(scenario)
-    Zs = _propagate(eng.Z, segments, eng.equilibrium(segments[0][1]), n_steps,
-                    every)
+    u0 = np.append(scenario.initial_loads_w, 1.0)
+    Zs = _propagate(eng.Z, _schedule(scenario), eng.equilibrium(u0),
+                    int(round(scenario.horizon_s / h)) // every, every)
 
     t = np.arange(len(Zs)) * (h * every)
     bad = ~np.all(np.abs(Zs @ eng.dev_rows.T) < DIVERGENCE_LIMIT, axis=1)
@@ -528,13 +518,14 @@ def compare_with_gecm(
     """RMS agreement between the simulated deviations and the circuit model.
 
     The circuit model is solved for the loads of the first load-step group
-    (`Scenario.first_group_w`) and its state-space model integrated with the
-    same step, its load switched on at the step the engine's is
-    (`Scenario.step_of`); the per-unit deviation responses are compared over
-    XCHECK_WINDOW_S from the sample at or before that step, normalized by
-    each channel's own RMS. Passing a different
-    `gecm_config` turns this into a negative control: the report then flags
-    the mismatch.
+    (`Scenario.first_group_w`), which set its residual gate. Its state-space
+    model x' = A x + B P_L/P_G is discretized with the same step, over the
+    same inputs u as the engine, and driven from rest by the engine's own
+    schedule: by superposition it takes exactly the load steps the engine
+    takes. The per-unit deviation responses are compared over
+    XCHECK_WINDOW_S from the sample at or before the first event's step,
+    normalized by each channel's own RMS. Passing a different `gecm_config`
+    turns this into a negative control: the report then flags the mismatch.
     """
     if not scenario.events:
         raise SimError("cross-validation needs at least one event")
@@ -542,8 +533,7 @@ def compare_with_gecm(
     every = scenario.output_every
     dt = h * every
     t0 = scenario.events[0].time_s
-    k0 = scenario.step_of(t0)
-    i0 = k0 // every
+    i0 = scenario.step_of(t0) // every
     n = int(round(XCHECK_WINDOW_S / dt))
     missing = (i0 + n - int(round(scenario.horizon_s / h)) // every) * dt
     if missing > 0:
@@ -553,21 +543,20 @@ def compare_with_gecm(
         )
     trace = run(scenario, config)
     model_cfg = config if gecm_config is None else gecm_config
-    toggles = scenario.toggles
-    ilc = model_cfg.ilc if toggles.ilc_enabled else None
-    cspec = model_cfg.concatenator_spec() if toggles.concatenator_enabled else None
-    sys_ = build_gecm(*model_cfg.specs, ilc, cspec, scenario.first_group_w())
+    sys_ = build_gecm(*model_cfg.specs, *model_cfg.coupling(scenario.toggles),
+                      scenario.first_group_w())
     sol = solve_nodal(sys_)
 
     sim_devs = np.column_stack([trace.deviation_pu(kind)[i0:i0 + n + 1]
                                 for kind in KIND_ORDER])
     sim_devs -= sim_devs[0]  # isolate the step response
-    # the model [[M, N], [0, 1]] from sample i0, its input switched on at k0
-    M, N = rk4_step_maps(StateSpace(A=sol.A, B=sol.b, C=sol.C, D=0.0), h)
-    Z = np.block([[M, N[:, None]], [np.zeros((1, len(N))), np.ones((1, 1))]])
-    model = _propagate(Z, [(0, np.zeros(1)), (k0 - i0 * every, np.ones(1))],
-                       np.zeros(len(N) + 1), n * every, every)
-    err = sim_devs - model[:, :-1] @ sol.C.T
+    # the model z = [x; u] under Z = [[M, N], [0, I]]; the constant input
+    # drives nothing
+    B = np.column_stack((sol.B / sys_.p_gmax_w, np.zeros(len(sol.B))))
+    M, N = rk4_step_maps(StateSpace(A=sol.A, B=B, C=sol.C, D=0.0), h)
+    Z = np.block([[M, N], [np.zeros((4, len(M))), np.eye(4)]])
+    model = _propagate(Z, _schedule(scenario), np.zeros(len(Z)), i0 + n, every)
+    err = sim_devs - model[i0:, :-4] @ sol.C.T
     sim_rms = np.sqrt(np.mean(sim_devs ** 2, axis=0))
     # inert channels (decoupled runs) compare on the dominant channel's scale
     denom = np.maximum(sim_rms, max(1e-6 * sim_rms.max(), 1e-30))

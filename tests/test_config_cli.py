@@ -212,6 +212,15 @@ def test_cli_predict_csv(tmp_path, capsys):
     assert any(line.startswith("rocof,3.672,Hz/s") for line in lines)
 
 
+def test_cli_predict_creates_missing_out_dirs(tmp_path, capsys):
+    # as bode does, predict makes the directories its CSV goes into
+    out = tmp_path / "new" / "sub" / "x.csv"
+    code = main(["predict", "--config", str(TABLE1), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert out.read_text().splitlines()[0] == "name,value,unit"
+
+
 def test_cli_simulate_writes_artifacts(tmp_path, table1_text, capsys):
     cfg = _short_config(tmp_path, table1_text)
     out_dir = tmp_path / "out"
@@ -492,14 +501,14 @@ def test_cli_design_non_positive_cutoff_exit2(tmp_path, table1_text, caplog):
 
 @pytest.mark.parametrize("argv, bad", [
     (["simulate", "--out", "{f}"], "{f}"),
-    (["predict", "--out", "{d}/missing/x.csv"], "{d}/missing/x.csv"),
+    (["predict", "--out", "{f}/x.csv"], "{f}/x.csv"),
     (["bode", "N_ac1", "--out", "{f}/x.csv"], "{f}/x.csv"),
-], ids=["simulate-out-is-a-file", "predict-out-dir-missing",
+], ids=["simulate-out-is-a-file", "predict-out-under-a-file",
         "bode-out-under-a-file"])
 def test_cli_unwritable_output_exit2(tmp_path, caplog, argv, bad):
     a_file = tmp_path / "a_file"
     a_file.write_text("")
-    fill = {"f": str(a_file), "d": str(tmp_path)}
+    fill = {"f": str(a_file)}
     argv = [a.format(**fill) for a in argv] + ["--config", str(TABLE1)]
     assert main(argv) == 2
     assert f"cannot write {bad.format(**fill)}:" in caplog.text

@@ -127,7 +127,8 @@ def test_shared_arrays_are_read_only(table1):
     cfg, sc = table1
     eng = sim._engine(cfg, sc.toggles, sc.step_s)
     sol = solve_nodal(_system(cfg, sc))
-    for a in (eng.Z, eng.S, eng.T, eng.C, eng.dev_rows, sol.A, sol.b, sol.C):
+    for a in (eng.Z, eng.S, eng.T, eng.C, eng.dev_rows, sol.A, sol.B, sol.b,
+              sol.C):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
 
@@ -147,8 +148,8 @@ def test_reused_engine_still_checks_the_propagated_states(table1, monkeypatch):
     sim._engine.cache_clear()
     run(sc, cfg)
 
-    def nan_states(S, segments, x0, n_steps, every):
-        return np.full((n_steps // every + 1, len(x0)), np.nan)
+    def nan_states(Z, kicks, z0, n_samples, every):
+        return np.full((n_samples + 1, len(z0)), np.nan)
 
     monkeypatch.setattr(sim, "_propagate", nan_states)
     with pytest.raises(NumericalDivergence, match="t=0.0000 s"):

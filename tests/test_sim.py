@@ -158,8 +158,8 @@ def test_unstable_at_every_step_says_so(cfg, monkeypatch):
 def test_divergence_check_catches_non_finite_states(cfg, monkeypatch):
     import hmg.sim
 
-    def nan_states(S, segments, x0, n_steps, every):
-        return np.full((n_steps // every + 1, len(x0)), np.nan)
+    def nan_states(Z, kicks, z0, n_samples, every):
+        return np.full((n_samples + 1, len(z0)), np.nan)
 
     monkeypatch.setattr(hmg.sim, "_propagate", nan_states)
     sc = Scenario(horizon_s=1.0, step_s=1e-4, events=REF_EVENTS)
@@ -334,7 +334,7 @@ def test_run_is_deterministic(cfg):
 # sample-stride propagation
 # ---------------------------------------------------------------------------
 
-# (segment first steps, n_steps, every)
+# (kick steps, n_steps, every)
 STRIDE_CASES = {
     "boundary_off_grid": ((0, 7), 40, 5),
     "two_boundaries_in_one_sample": ((0, 11, 13), 40, 5),
@@ -344,13 +344,22 @@ STRIDE_CASES = {
 }
 
 
-def _stride_problem(firsts, rho=0.95):
+def _stride_problem(steps, rho=0.95):
     rng = np.random.default_rng(11)
     n = 6
     S = rng.standard_normal((n, n))
     S *= rho / np.abs(np.linalg.eigvals(S)).max()
-    segments = [(k, rng.standard_normal(n)) for k in firsts]
-    return S, segments, rng.standard_normal(n)
+    kicks = [(k, rng.standard_normal(n)) for k in steps]
+    return S, kicks, rng.standard_normal(n)
+
+
+def _segments(kicks):
+    # (first step, drive held from it on): the running sum in kick order
+    d, segments = 0.0, []
+    for k, du in kicks:
+        d = d + du
+        segments.append((k, d))
+    return segments
 
 
 def _held(segments, steps):
@@ -359,15 +368,18 @@ def _held(segments, steps):
                      for k in steps])
 
 
-def _assert_plain_loop(S, segments, x0, n_steps, every):
+def _assert_plain_loop(S, kicks, x0, n_steps, every):
     # the blocked propagator, each drive d held as input states of
-    # Z = [[S, I], [0, I]], against x = S x + d stepped one step at a time
+    # Z = [[S, I], [0, I]] that start at zero and take every kick, against
+    # x = S x + d stepped one step at a time
     from hmg.sim import _propagate
     from oracle import affine_loop
 
     n = len(x0)
     Z = np.block([[S, np.eye(n)], [np.zeros((n, n)), np.eye(n)]])
-    got = _propagate(Z, segments, np.append(x0, segments[0][1]), n_steps, every)
+    got = _propagate(Z, kicks, np.append(x0, np.zeros(n)), n_steps // every,
+                     every)
+    segments = _segments(kicks)
     ref = affine_loop(S, segments, x0, n_steps)[::every]
     assert got.shape == (len(ref), 2 * n) and ref.shape[1] == n
     scale = np.abs(ref).max(axis=0)
@@ -377,18 +389,18 @@ def _assert_plain_loop(S, segments, x0, n_steps, every):
                           _held(segments, range(0, n_steps + 1, every)))
 
 
-@pytest.mark.parametrize("firsts, n_steps, every", STRIDE_CASES.values(),
+@pytest.mark.parametrize("steps, n_steps, every", STRIDE_CASES.values(),
                          ids=STRIDE_CASES.keys())
-def test_stride_matches_single_steps(firsts, n_steps, every):
-    S, segments, x0 = _stride_problem(firsts)
-    _assert_plain_loop(S, segments, x0, n_steps, every)
+def test_stride_matches_single_steps(steps, n_steps, every):
+    S, kicks, x0 = _stride_problem(steps)
+    _assert_plain_loop(S, kicks, x0, n_steps, every)
 
 
 @pytest.mark.parametrize("case", STRIDE_CASES.values(), ids=STRIDE_CASES.keys())
 def test_every_step_is_the_plain_affine_loop(case):
-    firsts, n_steps, _ = case
-    S, segments, x0 = _stride_problem(firsts)
-    _assert_plain_loop(S, segments, x0, n_steps, 1)
+    steps, n_steps, _ = case
+    S, kicks, x0 = _stride_problem(steps)
+    _assert_plain_loop(S, kicks, x0, n_steps, 1)
 
 
 @pytest.mark.parametrize("every", (1, 5))
@@ -401,9 +413,8 @@ def test_propagate_across_blocks(blocks, every):
 
     full, extra = blocks
     samples = full * _BLOCK_SAMPLES + extra
-    firsts = (0, samples * every)
-    S, segments, x0 = _stride_problem(firsts, rho=0.999)
-    _assert_plain_loop(S, segments, x0, samples * every + 7, every)
+    S, kicks, x0 = _stride_problem((0, samples * every), rho=0.999)
+    _assert_plain_loop(S, kicks, x0, samples * every + 7, every)
 
 
 # every step recorded over twelve load steps: segments of 3, exactly 64 and
@@ -424,9 +435,11 @@ def test_dense_schedule_matches_affine_loop(cfg, monkeypatch):
 
     got = run(DENSE, cfg)
 
-    def plain_loop(Z, segments, z0, n_steps, every):
-        n = len(z0) - len(segments[0][1])
+    def plain_loop(Z, kicks, z0, n_samples, every):
+        n = len(z0) - len(kicks[0][1])
         S, T = Z[:n, :n], Z[:n, n:]
+        segments = _segments([(0, z0[n:]), *kicks])
+        n_steps = n_samples * every
         X = affine_loop(S, [(k, T @ u) for k, u in segments], z0[:n], n_steps)
         return np.hstack((X, _held(segments, range(n_steps + 1))))[::every]
 
@@ -718,6 +731,17 @@ def test_gecm_aligns_a_first_event_between_samples(cfg, t0):
     sc = Scenario(horizon_s=12.0, step_s=1e-4,
                   events=tuple(replace(e, time_s=t0) for e in REF_EVENTS))
     assert max(compare_with_gecm(sc, cfg).rms_fraction.values()) < 1e-5
+
+
+@pytest.mark.parametrize("t1", (2.0, 5.0, 8.0))
+def test_gecm_matches_a_second_event_inside_the_window(cfg, t1):
+    # the benchmark's second step moved into the 10 s window after the
+    # first group: the circuit model takes it as the engine does
+    sc = Scenario(horizon_s=40.0, step_s=1e-4,
+                  events=REF_EVENTS + (Event(t1, "ac", 6e3),))
+    report = compare_with_gecm(sc, cfg)
+    assert report.passed
+    assert max(report.rms_fraction.values()) < 1e-5
 
 
 def test_gecm_window_past_horizon_rejected(cfg):
