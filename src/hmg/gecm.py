@@ -10,19 +10,19 @@ powers
     p2 = (T_ac V_ac - T_ds V_ds)/Z_ILC2      (DS -> AC positive)
 
 Kirchhoff balances P_ox = P_Lx -/+ converter flows give the admittance
-system G V = I_P with rows ordered (AC, DS, DC):
+system G V = I_P with rows and columns in KINDS order (AC, DC, DS):
 
-    [ y_ac + T_ac/Z2      -T_ds/Z2               0          ]
-    [ -T_ac/Z2            y_ds + T_ds/Z1+T_ds/Z2 -T_dc/Z1   ]
-    [ 0                   -T_ds/Z1               y_dc + T_dc/Z1 ]
+    [ y_ac + T_ac/Z2   0                -T_ds/Z2               ]
+    [ 0                y_dc + T_dc/Z1   -T_ds/Z1               ]
+    [ -T_ac/Z2         -T_dc/Z1         y_ds + T_ds/Z1+T_ds/Z2 ]
 
 where y_x = 1/Z_x. The solve realizes each Z_x, T_x and 1/Z_ILCn as its
 own low-order state-space block and closes these relations into one model
 x' = A x + B P_L whose rows C read the deviations. Every Z_x is strictly
 proper, so V_x is a function of the state and the interconnection has no
 algebraic loop. The poles are the eigenvalues of A; a response is one
-complex solve with sI - A. The residual of G(s) V(s) = I_P, with G
-assembled independently over rational functions, gates every solve.
+complex solve with sI - A. The residual of G(s) V(s) = I_P gates every
+solve, with G formed at each point from the values of its branches.
 
 The module also carries the closed-form full-system results: the
 capacity-weighted global inertia, predicted rates of change, steady
@@ -211,29 +211,6 @@ def build_gecm(
     )
 
 
-def assemble_admittance(sys: GecmSystem) -> list[list[RationalTF]]:
-    """3x3 nodal admittance matrix over rational functions, rows (AC, DS, DC)."""
-    zero = tf([0.0], [1.0])
-    y_ac = tf_reciprocal(sys.z_ac)
-    y_dc = tf_reciprocal(sys.z_dc)
-    y_ds = tf_reciprocal(sys.z_ds)
-    g1, g2 = (zero, zero) if sys.z_ilc1 is None else (
-        tf_reciprocal(sys.z_ilc1), tf_reciprocal(sys.z_ilc2))
-    tac_g2 = tf_series(sys.t_ac, g2)
-    tds_g2 = tf_series(sys.t_ds, g2)
-    tds_g1 = tf_series(sys.t_ds, g1)
-    tdc_g1 = tf_series(sys.t_dc, g1)
-    return [
-        [tf_add(y_ac, tac_g2), tf_scale(tds_g2, -1.0), zero],
-        [
-            tf_scale(tac_g2, -1.0),
-            tf_add(y_ds, tf_add(tds_g1, tds_g2)),
-            tf_scale(tdc_g1, -1.0),
-        ],
-        [zero, tf_scale(tds_g1, -1.0), tf_add(y_dc, tdc_g1)],
-    ]
-
-
 def _interconnect(sys: GecmSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A, B, C) of x' = A x + B P_L, with B's columns and C's rows in KINDS order.
 
@@ -305,22 +282,28 @@ def solve_nodal(sys: GecmSystem) -> NodalSolution:
 
 
 def _back_substitution_residual(sys: GecmSystem, sol: NodalSolution) -> float:
-    """Worst relative residual of G(s) V(s) = I over RESIDUAL_POINTS.
-
-    G is assembled over rational functions, rows (AC, DS, DC), and
-    V_j = -deviation_j comes from the state-space solution. Each nonzero
-    entry of G is evaluated once over all the points.
-    """
+    """Worst relative residual of G(s) V(s) = I over RESIDUAL_POINTS, with
+    V = -deviation from the state-space solution."""
     s = np.array(RESIDUAL_POINTS)
-    g_vals = np.array([[np.zeros(len(s)) if e.num.is_zero else tf_eval(e, s)
-                        for e in row] for row in assemble_admittance(sys)])
-    v_vals = -sol.responses(s)[:, [0, 2, 1]].T  # KINDS order to rows (AC, DS, DC)
-    injections = np.array([sys.p_lac_gpu, sys.p_lds_gpu, sys.p_ldc_gpu])[:, None]
-    terms = g_vals * v_vals  # terms[i, j] = G_ij V_j at every point
-    lhs = terms[:, 0] + terms[:, 1] + terms[:, 2]
+    terms = _admittance(sys, s) * -sol.responses(s).T  # terms[i, j] = G_ij V_j
+    injections = np.array([sys.p_lac_gpu, sys.p_ldc_gpu, sys.p_lds_gpu])[:, None]
     scale = np.maximum(np.maximum(np.abs(injections), np.abs(terms).max(axis=1)),
                        1e-30)
-    return float(np.max(np.abs(lhs - injections) / scale))
+    return float(np.max(np.abs(terms.sum(axis=1) - injections) / scale))
+
+
+def _admittance(sys: GecmSystem, s: np.ndarray) -> np.ndarray:
+    """G at every point of s, shape (3, 3, len(s)), in KINDS order, from one
+    evaluation of each branch 1/Z_x, T_x and 1/Z_ILCn over all the points."""
+    y_ac, y_dc, y_ds = (tf_eval(tf_reciprocal(z), s)
+                        for z in (sys.z_ac, sys.z_dc, sys.z_ds))
+    t_ac = t_dc = t_ds = g1 = g2 = zero = np.zeros(len(s))
+    if sys.z_ilc1 is not None:
+        t_ac, t_dc, t_ds = (tf_eval(t, s) for t in (sys.t_ac, sys.t_dc, sys.t_ds))
+        g1, g2 = (tf_eval(tf_reciprocal(z), s) for z in (sys.z_ilc1, sys.z_ilc2))
+    return np.array([[y_ac + t_ac * g2, zero, -t_ds * g2],
+                     [zero, y_dc + t_dc * g1, -t_ds * g1],
+                     [-t_ac * g2, -t_dc * g1, y_ds + t_ds * (g1 + g2)]])
 
 
 # ---------------------------------------------------------------------------

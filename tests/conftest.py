@@ -2,11 +2,16 @@
 
 import pytest
 
+from hmg.ilc import IlcSpec
 from hmg.subgrid import AC, DC, DS, SubgridSpec, design_droop
 
 # Restoration PI gains shared by the reference setup (slow on purpose;
 # the SubgridSpec defaults).
 K_P, K_I = 0.005, 0.05
+
+# Converter loops with unequal gains, so that a test sees which loop is which:
+# loop 1 (DS-DC) keeps the reference gains, loop 2 (DS-AC) does not.
+UNEQUAL_ILC = IlcSpec(k_tp1=4000.0, k_ti1=400e3, k_tp2=8000.0, k_ti2=200e3)
 
 
 def make_ac(**kw):

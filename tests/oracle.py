@@ -17,9 +17,11 @@ and one scalar state at a time, exactly as the paper states them.
   plant states and the loads, the reference for the engine's output map.
 * ``coeffs_close`` / ``tf_close`` -- tolerance comparison of polynomials and
   rational functions.
-* ``tf_eval_point`` / ``back_substitution_residual`` -- transfer functions
-  and the nodal residual gate evaluated one frequency point at a time, the
-  reference for the library's whole-grid evaluation.
+* ``tf_eval_point`` / ``assemble_admittance`` / ``back_substitution_residual``
+  -- transfer functions and the nodal residual gate evaluated one frequency
+  point at a time, with the admittance matrix assembled over rational
+  functions: the reference for the library's whole-grid evaluation and its
+  admittance formed from branch values.
 * ``ideal_global_deviation_tf`` -- the ideal-coupling deviation TF with its
   pooled stiffness built afresh for every channel, the reference for the
   library's shared one.
@@ -31,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from hmg.gecm import GecmSystem, NodalSolution, assemble_admittance, global_capacity
+from hmg.gecm import GecmSystem, NodalSolution, global_capacity
 from hmg.ilc import ConcatenatorSpec, IlcSpec, concatenator_tf
 from hmg.lti import (
     POLE_REL,
@@ -151,6 +153,29 @@ def residual_points() -> list[complex]:
     points = [1j * w for w in (0.01, 1.0, 100.0)]
     points += [complex(rng.normal(), rng.normal()) * 10.0 for _ in range(7)]
     return points
+
+
+def assemble_admittance(sys: GecmSystem) -> list[list[RationalTF]]:
+    """3x3 nodal admittance matrix over rational functions, rows (AC, DS, DC)."""
+    zero = tf([0.0], [1.0])
+    y_ac = tf_reciprocal(sys.z_ac)
+    y_dc = tf_reciprocal(sys.z_dc)
+    y_ds = tf_reciprocal(sys.z_ds)
+    g1, g2 = (zero, zero) if sys.z_ilc1 is None else (
+        tf_reciprocal(sys.z_ilc1), tf_reciprocal(sys.z_ilc2))
+    tac_g2 = tf_series(sys.t_ac, g2)
+    tds_g2 = tf_series(sys.t_ds, g2)
+    tds_g1 = tf_series(sys.t_ds, g1)
+    tdc_g1 = tf_series(sys.t_dc, g1)
+    return [
+        [tf_add(y_ac, tac_g2), tf_scale(tds_g2, -1.0), zero],
+        [
+            tf_scale(tac_g2, -1.0),
+            tf_add(y_ds, tf_add(tds_g1, tds_g2)),
+            tf_scale(tdc_g1, -1.0),
+        ],
+        [zero, tf_scale(tds_g1, -1.0), tf_add(y_dc, tdc_g1)],
+    ]
 
 
 def back_substitution_residual(sys: GecmSystem, sol: NodalSolution) -> float:

@@ -10,10 +10,11 @@ from hmg.config import (
     ConfigError,
     Toggles,
     parse_config,
+    reference_config,
     reference_run,
     serialize_config,
 )
-from hmg.ilc import IlcSpec
+from hmg.ilc import IlcSpec, min_cutoff
 
 REPO = Path(__file__).resolve().parents[1]
 TABLE1 = REPO / "configs" / "table1.cfg"
@@ -131,6 +132,18 @@ def test_malformed_line_reports_position(table1_text):
 def test_negative_droop_design_rejected(table1_text):
     with pytest.raises(ConfigError, match="x_max - D"):
         parse_config(table1_text.replace("damping = 1", "damping = 26", 1))
+
+
+def test_zero_cutoff_rejected():
+    with pytest.raises(ConfigError, match=r"ilc\.omega_0 must be > 0"):
+        reference_config(omega_0=0.0)
+
+
+def test_cutoff_at_the_bound_accepted():
+    bound = min_cutoff(50e-6, 1.3)
+    assert bound == 3.0994415283203125e-3
+    cfg = reference_config(omega_0=bound)  # validates
+    assert cfg.cutoff_bound_ok()
 
 
 def test_cutoff_bound_enforced(table1_text):

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import make_ac, make_dc, make_ds
+from conftest import UNEQUAL_ILC, make_ac, make_dc, make_ds
 from hmg.cli import _bode_tf
 from hmg.config import Toggles, load_config
+from hmg import gecm
 from hmg.gecm import (
     RESIDUAL_POINTS,
     GecmError,
+    SingularSystem,
+    _admittance,
     _back_substitution_residual,
-    assemble_admittance,
     bode_export,
     build_branch_impedances,
     build_gecm,
@@ -28,7 +30,7 @@ from hmg.gecm import (
     solve_nodal,
 )
 from hmg.ilc import IlcSpec, design_omegas
-from hmg.lti import ivt_rate_limit, tf, tf_eval, tf_series
+from hmg.lti import ivt_rate_limit, tf, tf_eval, tf_scale, tf_series
 from hmg.sim import _Engine
 from hmg.subgrid import build_open_loop_tf, steady_droop_gain_pu
 
@@ -90,26 +92,25 @@ def test_admittance_decouples_without_ilc(specs):
     cspec = design_omegas(W0, *specs)
     weak = IlcSpec(k_tp1=1e-12, k_ti1=1e-12, k_tp2=1e-12, k_ti2=1e-12)
     sys_ = build_gecm(*specs, weak, cspec, (1e3, 1e3, 1e3))
-    g = assemble_admittance(sys_)
-    s = 1j * 1.0
+    g = _admittance(sys_, np.array([1j * 1.0]))[..., 0]
     for i in range(3):
         for j in range(3):
             if i == j:
                 continue
-            entry = g[i][j]
-            val = 0.0 if entry.num.is_zero else abs(tf_eval(entry, s))
-            assert val < 1e-10 * abs(tf_eval(g[i][i], s))
+            assert abs(g[i][j]) < 1e-10 * abs(g[i][i])
 
 
 def test_admittance_unity_concatenators(specs):
-    # bypassed concatenators leave pure PI couplings in the off-diagonals
-    ilc = IlcSpec(**REF_GAINS)
-    sys_ = build_gecm(*specs, ilc, None, (1e3, 1e3, 1e3))
-    g = assemble_admittance(sys_)
+    # bypassed concatenators leave pure PI couplings in the off-diagonals,
+    # each loop's own: loop 1 couples DC and DS, loop 2 AC and DS
     s = 1j * 3.0
-    coupling = (REF_GAINS["k_tp1"] * s + REF_GAINS["k_ti1"]) / s
-    assert tf_eval(g[0][1], s) == pytest.approx(-coupling, rel=1e-10)
-    assert tf_eval(g[2][1], s) == pytest.approx(-coupling, rel=1e-10)
+    for ilc in (IlcSpec(**REF_GAINS), UNEQUAL_ILC):
+        sys_ = build_gecm(*specs, ilc, None, (1e3, 1e3, 1e3))
+        g = _admittance(sys_, np.array([s]))[..., 0]
+        loop1 = (ilc.k_tp1 * s + ilc.k_ti1) / s
+        loop2 = (ilc.k_tp2 * s + ilc.k_ti2) / s
+        assert g[0][2] == pytest.approx(-loop2, rel=1e-10)
+        assert g[1][2] == pytest.approx(-loop1, rel=1e-10)
 
 
 def test_solve_zero_loads_zero_deviations(specs):
@@ -225,16 +226,25 @@ def test_residual_points_are_the_fixed_draws():
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("concatenator, ilc",
-                         list(itertools.product((True, False), repeat=2)))
-def test_residual_matches_point_loop_table1(concatenator, ilc):
-    # the toggles as `compare_with_gecm` reads them; restoration does not
-    # enter the circuit model
+def table1_system(concatenator=True, ilc=True):
+    """table1's first load group; ilc True keeps its converter, False drops
+    it, and an IlcSpec replaces it. Restoration does not enter the circuit
+    model."""
     loaded = load_config(TABLE1)
     cfg = loaded.config
-    sys_ = build_gecm(*cfg.specs, cfg.ilc if ilc else None,
+    gains = {True: cfg.ilc, False: None}.get(ilc, ilc)
+    return build_gecm(*cfg.specs, gains,
                       cfg.concatenator_spec() if concatenator else None,
                       loaded.scenario().first_group_w())
+
+
+@pytest.mark.parametrize("concatenator, ilc", [
+    *itertools.product((True, False), repeat=2), (True, UNEQUAL_ILC),
+], ids=lambda v: "unequal" if isinstance(v, IlcSpec) else None)
+def test_residual_matches_point_loop_table1(concatenator, ilc):
+    # the toggles as `compare_with_gecm` reads them, and converter loops
+    # with unequal gains, which tell the two loops apart
+    sys_ = table1_system(concatenator, ilc)
     sol = solve_nodal(sys_)
     want = oracle.back_substitution_residual(sys_, sol)
     assert abs(_back_substitution_residual(sys_, sol) - want) <= 1e-15
@@ -253,6 +263,32 @@ def test_residual_matches_point_loop_admissible_pool(monkeypatch):
         sol = solve_nodal(sys_)
         want = oracle.back_substitution_residual(sys_, sol)
         assert abs(sol.residual - want) <= 1e-15
+
+
+@pytest.mark.parametrize("error", ["T_dc_T_ds_swapped", "Z_ILC1_doubled",
+                                   "B_dc_ds_columns_swapped",
+                                   "C_dc_ds_rows_swapped"])
+def test_gate_rejects_miswired_circuit(error, monkeypatch):
+    # the gate's own construction of G must catch a state-space model that
+    # solves a different circuit
+    interconnect = gecm._interconnect
+
+    def miswired(sys_):
+        if error == "T_dc_T_ds_swapped":
+            sys_ = replace(sys_, t_dc=sys_.t_ds, t_ds=sys_.t_dc)
+        if error == "Z_ILC1_doubled":
+            sys_ = replace(sys_, z_ilc1=tf_scale(sys_.z_ilc1, 2.0))
+        A, B, C = interconnect(sys_)
+        if error == "B_dc_ds_columns_swapped":
+            B = B[:, [0, 2, 1]]
+        if error == "C_dc_ds_rows_swapped":
+            C = C[[0, 2, 1]]
+        return A, B, C
+
+    monkeypatch.setattr(gecm, "_interconnect", miswired)
+    solve_nodal.cache_clear()  # an earlier test may have solved table1
+    with pytest.raises(SingularSystem, match="back-substitution residual"):
+        solve_nodal(table1_system())
 
 
 def test_responses_batch_matches_points(ref_system):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from conftest import UNEQUAL_ILC
 from hmg.config import load_config, reference_config
 from hmg.sim import (
     Event,
@@ -168,6 +169,13 @@ def test_divergence_check_catches_non_finite_states(cfg, monkeypatch):
 
 
 def test_composed_engine_matches_per_block_stepping(cfg):
+    # with the reference converter, and with unequal loop gains, which tell
+    # the two loops apart
+    for ilc in (cfg.ilc, UNEQUAL_ILC):
+        _assert_engine_matches_per_block_stepping(replace(cfg, ilc=ilc))
+
+
+def _assert_engine_matches_per_block_stepping(cfg):
     # the precomputed affine map must agree with literally stepping every
     # block under held inputs and coupling the outputs once per step
     from hmg.lti import tf_to_statespace
@@ -544,6 +552,17 @@ def test_measure_constant_trace(cfg):
 def test_measure_rejects_off_grid_event(ref_trace):
     with pytest.raises(SimError):
         measure(ref_trace, 1.0037)
+    t = ref_trace.t  # one sample past the end is off the grid too
+    with pytest.raises(SimError, match="not on the trace grid"):
+        measure(ref_trace, t[-1] + (t[1] - t[0]))
+
+
+def test_measure_event_at_time_zero(cfg):
+    # the first sample is on the grid: its rates take the sample after it
+    sc = Scenario(horizon_s=3.0, step_s=1e-4, output_every=10,
+                  events=(Event(0.0, "ac", 5e3),))
+    m = measure(run(sc, cfg), 0.0, require_settled=False)
+    assert m.rocof_hz_s == pytest.approx(1.2519, rel=1e-4)
 
 
 def test_measure_rejects_second_load_change_within_rate_sample(cfg):
@@ -571,9 +590,17 @@ def test_measure_nadir_window_ends_at_any_load_change(cfg):
 
 
 def test_measure_not_settled(cfg):
+    from hmg.sim import SETTLE_REL, SETTLE_WINDOW_S
+
     sc = Scenario(horizon_s=6.0, step_s=1e-4, events=(Event(5.0, "ac", 12e3),))
-    with pytest.raises(NotSettled):
-        measure(run(sc, cfg), 5.0)
+    trace = run(sc, cfg)
+    # the message names the first unsettled signal's spread over its base
+    n = int(round(SETTLE_WINDOW_S / (trace.t[1] - trace.t[0])))
+    spreads = [np.ptp(sig[-n:]) / base for sig, base in
+               zip((trace.f_hz, trace.vdc_v, trace.vds_v), trace.bases)]
+    first = next(x for x in spreads if x > SETTLE_REL)
+    with pytest.raises(NotSettled, match=f"moves by {first:.2e} of base"):
+        measure(trace, 5.0)
 
 
 # ---------------------------------------------------------------------------

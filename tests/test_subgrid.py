@@ -15,6 +15,7 @@ from hmg.subgrid import (
     AC,
     DegenerateLimits,
     NegativeDroop,
+    SubgridError,
     SubgridSpec,
     build_open_loop_tf,
     compute_lc,
@@ -80,6 +81,13 @@ def test_design_droop_negative():
     # damping so large that x_max - D*(x_max - x_min) <= 0
     with pytest.raises(NegativeDroop):
         design_droop(replace(make_ac(), damping_d=26.0))
+
+
+def test_zero_capacity_rejected():
+    from dataclasses import replace
+
+    with pytest.raises(SubgridError, match="p_max_w must be > 0"):
+        replace(make_ac(), p_max_w=0.0).validate()
 
 
 # ---------------------------------------------------------------------------
