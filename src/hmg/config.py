@@ -115,6 +115,12 @@ class Scenario:
     toggles: Toggles = field(default_factory=Toggles)
     output_every: int = HybridConfig.output_every
 
+    def __post_init__(self):
+        # tuples, so that every scenario is hashable and can key `sim.run`
+        object.__setattr__(self, "events", tuple(self.events))
+        object.__setattr__(self, "initial_loads_w",
+                           tuple(map(float, self.initial_loads_w)))
+
     def validate(self) -> None:
         if self.step_s <= 0.0:
             raise ConfigError("step must be > 0")

@@ -17,7 +17,9 @@ differs by round-off only), and fast enough for sub-millisecond steps
 over long horizons, recorded at every step or not. A map whose spectral
 radius is not below 1 is rejected at assembly, with the largest stable
 step named. The circuit-model cross-check takes the same kicks through
-the same propagator.
+the same propagator, and compares them with the trace of `run`, which
+keeps its last trace: a design study that runs a configuration and then
+cross-checks it propagates the engine once.
 
 Coupling sign conventions (converter powers in watts on the global base):
 
@@ -83,12 +85,14 @@ class NotSettled(SimError):
     """The trailing window still moves; steady-state metrics are undefined."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimTrace:
     """Uniformly sampled run history plus the bases needed to interpret it.
 
     delta_* columns are the restoration compensations in SI units; the raw
     per-unit deviations are recoverable as (x - x_max)/x_max - delta*/x_max.
+    A trace from `run` is shared by the calls that repeat that run, so its
+    fields cannot be rebound and its arrays are read-only.
     """
 
     t: np.ndarray
@@ -263,9 +267,9 @@ class _Engine:
         return np.concatenate((x, u))
 
 
-# The engine of the last (config, toggles, step) assembled: a design study
-# runs and then cross-checks one configuration, and the cross-check's `run`
-# reuses the engine. One entry, so configurations never share one.
+# The engine of the last (config, toggles, step) assembled: runs of one
+# configuration under different schedules or horizons share it. One entry,
+# so configurations never share one.
 _engine = lru_cache(maxsize=1)(_Engine)
 
 
@@ -373,12 +377,18 @@ def _powers(P: np.ndarray, count: int) -> np.ndarray:
     return Q
 
 
+@lru_cache(maxsize=1)
 def run(scenario: Scenario, config: HybridConfig) -> SimTrace:
     """Advance the coupled system over the scenario horizon.
 
     The run starts from the settled equilibrium of the initial loads, so a
     scenario without events holds every quantity constant. Deterministic:
     identical inputs give identical traces.
+
+    The last (scenario, config) run is kept, one entry: a design study runs
+    a configuration and then cross-checks it, and the cross-check's `run`
+    returns the trace already checked, whose arrays are read-only. A run
+    that raised is not kept.
 
     Raises
     ------
@@ -409,12 +419,16 @@ def run(scenario: Scenario, config: HybridConfig) -> SimTrace:
             f"per-unit deviation beyond {DIVERGENCE_LIMIT} at "
             f"t={t[bad][0]:.4f} s"
         )
+    columns = eng.C @ Zs.T
+    loads_w = Zs[:, eng.n:eng.n + 3].copy()
+    for a in (t, columns, loads_w):
+        a.setflags(write=False)
     return SimTrace(
         t=t,
-        **dict(zip(TRACE_COLUMNS[1:], eng.C @ Zs.T)),
+        **dict(zip(TRACE_COLUMNS[1:], columns)),
         bases=tuple(s.x_max for s in config.specs),
         capacities=tuple(s.p_max_w for s in config.specs),
-        loads_w=Zs[:, eng.n:eng.n + 3].copy(),
+        loads_w=loads_w,
     )
 
 

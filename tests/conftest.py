@@ -1,7 +1,11 @@
 """Shared fixtures: the reference parameter set used across the suites."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import hmg
 from hmg.ilc import IlcSpec
 from hmg.subgrid import AC, DC, DS, SubgridSpec, design_droop
 
@@ -12,6 +16,24 @@ K_P, K_I = 0.005, 0.05
 # Converter loops with unequal gains, so that a test sees which loop is which:
 # loop 1 (DS-DC) keeps the reference gains, loop 2 (DS-AC) does not.
 UNEQUAL_ILC = IlcSpec(k_tp1=4000.0, k_ti1=400e3, k_tp2=8000.0, k_ti2=200e3)
+
+
+def library_memos():
+    """Every `functools.lru_cache` wrapper bound in hmg's modules, once each."""
+    memos = []
+    for info in pkgutil.iter_modules(hmg.__path__, "hmg."):
+        for obj in vars(importlib.import_module(info.name)).values():
+            if hasattr(obj, "cache_parameters") and all(obj is not m for m in memos):
+                memos.append(obj)
+    return memos
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Each test starts with every library memo empty, so no test is handed
+    a result an earlier test left, and hit counts start at zero."""
+    for memo in library_memos():
+        memo.cache_clear()
 
 
 def make_ac(**kw):

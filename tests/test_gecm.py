@@ -265,6 +265,22 @@ def test_residual_matches_point_loop_admissible_pool(monkeypatch):
         assert abs(sol.residual - want) <= 1e-15
 
 
+def test_residual_matches_point_loop_admissible_pool_unequal_gains(monkeypatch):
+    # unequal converter gains on the same pool: the library's G and the
+    # oracle's rational assembly round apart by up to 5.0e-15 (12 of the 48
+    # configs above 1e-15, residuals up to 8.9e-15), so the bound is 64 eps
+    monkeypatch.syspath_prepend(str(TABLE1.parents[1] / "perfbench"))
+    import generators
+
+    for loaded in generators.admissible_pool(1, 48):
+        cfg = loaded.config
+        sys_ = build_gecm(*cfg.specs, UNEQUAL_ILC, cfg.concatenator_spec(),
+                          loaded.scenario().first_group_w())
+        sol = solve_nodal(sys_)
+        want = oracle.back_substitution_residual(sys_, sol)
+        assert abs(sol.residual - want) <= 64 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("error", ["T_dc_T_ds_swapped", "Z_ILC1_doubled",
                                    "B_dc_ds_columns_swapped",
                                    "C_dc_ds_rows_swapped"])

@@ -1,24 +1,28 @@
-"""Reuse of the engine, the nodal solution and the pooled stiffness.
+"""Reuse of the trace, the engine, the nodal solution and the pooled
+stiffness.
 
 Each is kept for the last inputs only (`functools.lru_cache(maxsize=1)`):
 a design study runs, cross-checks and analyses one configuration, and the
-later steps reuse what the earlier ones built. Two configurations never
+later steps reuse what the earlier ones built, so the cross-check's `run`
+returns the trace the study's own run checked. Two configurations never
 share an entry, a reused result is bitwise the result of a fresh build,
-shared arrays are read-only, and the checks `run` makes on every call
-still run when its engine is reused.
+shared arrays are read-only and a shared trace's fields cannot be rebound,
+a run or solve that raised is not kept, and the checks `run` makes still
+run when only its engine is reused.
 """
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import library_memos
 from hmg import gecm, sim
-from hmg.config import load_config
+from hmg.config import Event, load_config
 from hmg.gecm import GecmError, build_gecm, solve_nodal
 from hmg.lti import tf
-from hmg.sim import NumericalDivergence, compare_with_gecm, run
+from hmg.sim import TRACE_COLUMNS, NumericalDivergence, compare_with_gecm, run
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -53,6 +57,12 @@ def _bits(*arrays):
 
 # memo, its arguments for one (config, scenario), its result as raw bytes
 MEMOS = {
+    "run": (
+        run,
+        lambda cfg, sc: (sc, cfg),
+        lambda tr: (_bits(*map(tr.column, TRACE_COLUMNS), tr.loads_w),
+                    tr.bases, tr.capacities),
+    ),
     "engine": (
         sim._engine,
         lambda cfg, sc: (cfg, sc.toggles, sc.step_s),
@@ -88,11 +98,24 @@ def test_alternating_configurations_never_share_an_entry(name, table1,
 
 
 def test_cross_check_reuses_the_runs_engine(table1):
+    # the cross-check's run returns the trace, so the engine is not asked again
     cfg, sc = table1
+    run.cache_clear()
     sim._engine.cache_clear()
     run(sc, cfg)
     compare_with_gecm(sc, cfg)
-    assert _hits_misses(sim._engine) == (1, 1)
+    assert _hits_misses(run) == (1, 1)
+    assert _hits_misses(sim._engine) == (0, 1)
+
+
+@pytest.mark.parametrize("case", ["table1", "pool_config"])
+def test_cross_check_is_the_same_with_a_cold_or_warm_run(case, request):
+    cfg, sc = request.getfixturevalue(case)
+    run.cache_clear()
+    cold = compare_with_gecm(sc, cfg)
+    warm = compare_with_gecm(sc, cfg)
+    assert _hits_misses(run) == (1, 1)
+    assert warm == cold
 
 
 def test_analysis_reuses_the_cross_checks_solve(table1):
@@ -123,20 +146,41 @@ def test_failed_solve_is_not_kept(table1):
     assert _hits_misses(solve_nodal) == (0, 2)
 
 
+def test_diverged_run_is_not_kept(table1):
+    cfg, sc = table1
+    overload = replace(sc, events=(Event(1.0, "ac", 1e7),))
+    run.cache_clear()
+    for _ in range(2):
+        with pytest.raises(NumericalDivergence, match="per-unit deviation"):
+            run(overload, cfg)
+    assert run.cache_info().currsize == 0
+    assert _hits_misses(run) == (0, 2)
+
+
 def test_shared_arrays_are_read_only(table1):
     cfg, sc = table1
     eng = sim._engine(cfg, sc.toggles, sc.step_s)
     sol = solve_nodal(_system(cfg, sc))
+    trace = run(sc, cfg)
     for a in (eng.Z, eng.S, eng.T, eng.C, eng.dev_rows, sol.A, sol.B, sol.b,
-              sol.C):
+              sol.C, *map(trace.column, TRACE_COLUMNS), trace.loads_w):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        trace.f_hz = trace.f_hz.copy()
+
+
+def test_every_library_memo_keeps_one_entry_and_has_a_row():
+    memos = library_memos()
+    assert [m.cache_parameters()["maxsize"] for m in memos] == [1] * len(memos)
+    assert sorted(map(id, memos)) == sorted(id(memo) for memo, *_ in MEMOS.values())
 
 
 def test_reused_engine_still_checks_the_spectral_radius(table1, monkeypatch):
     cfg, sc = table1
     sim._engine.cache_clear()
     run(sc, cfg)
+    run.cache_clear()
     monkeypatch.setattr(sim, "_spectral_radius", lambda S: 1.5)
     with pytest.raises(NumericalDivergence, match=r"spectral radius 1\.5 >= 1"):
         run(sc, cfg)
@@ -147,6 +191,7 @@ def test_reused_engine_still_checks_the_propagated_states(table1, monkeypatch):
     cfg, sc = table1
     sim._engine.cache_clear()
     run(sc, cfg)
+    run.cache_clear()
 
     def nan_states(Z, kicks, z0, n_samples, every):
         return np.full((n_samples + 1, len(z0)), np.nan)

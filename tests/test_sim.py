@@ -93,6 +93,18 @@ def test_initial_loads_start_settled(cfg):
     assert np.ptp(trace.p_odc_w) < 1.0
 
 
+def test_list_built_scenario_is_its_tuple_twin(cfg):
+    # lists are stored as tuples, so every scenario can key the run memo
+    listed = Scenario(horizon_s=2.0, events=[Event(1.0, "ac", 5e3)],
+                      initial_loads_w=[1e3, 1e3, 1e3])
+    twin = Scenario(horizon_s=2.0, events=(Event(1.0, "ac", 5e3),),
+                    initial_loads_w=(1e3, 1e3, 1e3))
+    assert listed == twin and hash(listed) == hash(twin)
+    trace = run(listed, cfg)
+    assert len(trace.t) == 201
+    assert run(twin, cfg) is trace
+
+
 def test_power_balance_every_sample(ref_trace):
     total_out = ref_trace.p_oac_w + ref_trace.p_odc_w + ref_trace.p_ods_w
     imbalance = np.abs(total_out - ref_trace.total_load_w())
