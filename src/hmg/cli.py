@@ -7,10 +7,11 @@ HMG_LOG (error|info|debug); reports go to standard output with six
 significant digits.
 
 Exit codes: 0 success, 1 informational (design-report bound violation),
-2 configuration/usage error (including an unmeasurable scenario, any
-circuit-model, subgrid, converter or transfer-function error, and an
-output path that cannot be written), 3 numerical divergence (including an
-unstable one-step map and a nodal solve that fails its residual gate).
+2 configuration/usage error (including an unmeasurable scenario, a trace
+too large to hold, any circuit-model, subgrid, converter or
+transfer-function error, and an output path that cannot be written),
+3 numerical divergence (including an unstable one-step map and a nodal
+solve that fails its residual gate).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .sim import (
     run,
     write_trace_csv,
 )
-from .subgrid import SubgridError, build_open_loop_tf
+from .subgrid import KINDS, SubgridError, build_open_loop_tf
 
 log = logging.getLogger("hmg")
 
@@ -172,7 +173,7 @@ def cmd_predict(args) -> int:
 def _bode_tf(loaded: LoadedRun, target: str):
     cfg = loaded.config
     specs = cfg.specs
-    by_kind = dict(zip(("ac", "dc", "ds"), specs))
+    by_kind = dict(zip(KINDS, specs))
     if target.startswith("T_"):
         return concatenator_tf(cfg.concatenator_spec(), target[2:])
     if target.endswith("0"):

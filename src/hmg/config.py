@@ -135,7 +135,7 @@ class Scenario:
             raise ConfigError("event times must lie within [0, horizon]")
         last = int(round(self.horizon_s / self.step_s))
         for e in self.events:
-            if e.kind not in (AC, DC, DS):
+            if e.kind not in KINDS:
                 raise ConfigError(f"unknown subgrid {e.kind!r} in event")
             if self.step_of(e.time_s) > last:
                 raise ConfigError(f"event at t={e.time_s:.10g} s acts after the "
@@ -218,7 +218,7 @@ _SCHEMA = {
                 ("restoration", "toggles.restoration_enabled", False),
                 ("ilc", "toggles.ilc_enabled", False)),
 }
-_OWNER_TYPES = {AC: SubgridSpec, DC: SubgridSpec, DS: SubgridSpec,
+_OWNER_TYPES = {**dict.fromkeys(KINDS, SubgridSpec),
                 "ilc": IlcSpec, "config": HybridConfig, "toggles": Toggles}
 
 
@@ -307,7 +307,7 @@ def parse_config(text: str, check_cutoff: bool = True) -> LoadedRun:
                 )
             time_s = _convert("events", name, parts[0], float)
             kind = parts[1].lower()
-            if kind not in (AC, DC, DS):
+            if kind not in KINDS:
                 raise ConfigError(f"events.{name}: unknown subgrid {parts[1]!r}")
             delta = _convert("events", name, parts[2], float)
             events.append(Event(time_s=time_s, kind=kind, delta_w=delta))

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lti import RationalTF, tf
-from .subgrid import AC, DC, DS, DegenerateLimits, SubgridSpec
+from .subgrid import AC, DC, DS, SubgridSpec
 
 # Single-precision machine spacing of the target fixed-width hardware
 # (1 sign bit, 8 exponent bits, 23 fraction bits).
@@ -80,14 +80,11 @@ def min_cutoff(sampling_period: float, safety_factor: float) -> float:
 def design_omegas(
     omega_0: float, ac: SubgridSpec, dc: SubgridSpec, ds: SubgridSpec
 ) -> ConcatenatorSpec:
-    """Corner frequencies w_x = w_0 * x_max / (x_max - x_min) per channel."""
+    """Corner frequencies w_x = w_0 * x_max / (x_max - x_min) per channel;
+    `SubgridSpec.band` rejects a non-positive x_max or an empty band."""
     if omega_0 <= 0.0:
         raise IlcError("omega_0 must be > 0")
-    omegas = {}
-    for spec in (ac, dc, ds):
-        if spec.band == 0.0:
-            raise DegenerateLimits(f"{spec.kind}: x_max == x_min")
-        omegas[spec.kind] = omega_0 * spec.x_max / spec.band
+    omegas = {spec.kind: omega_0 * spec.x_max / spec.band for spec in (ac, dc, ds)}
     return ConcatenatorSpec(
         omega_0=omega_0, omega_ac=omegas[AC], omega_dc=omegas[DC],
         omega_ds=omegas[DS],

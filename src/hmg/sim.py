@@ -42,15 +42,13 @@ from .config import Event, HybridConfig, Scenario, Toggles
 from .gecm import build_gecm, solve_nodal
 from .ilc import concatenator_tf
 from .lti import StateSpace, rk4_step_maps, tf_to_statespace
-from .subgrid import AC, DC, DS, build_open_loop_tf, hess_split
+from .subgrid import KINDS, build_open_loop_tf, hess_split
 
 __all__ = [
     "Event", "Scenario", "Toggles", "SimTrace", "Metrics", "GecmComparison",
     "SimError", "NumericalDivergence", "NotSettled", "run", "measure",
     "compare_with_gecm", "write_trace_csv", "TRACE_COLUMNS",
 ]
-
-KIND_ORDER = (AC, DC, DS)
 
 # Run aborts when any per-unit deviation leaves this band: far outside the
 # droop range, so it signals a parameter error rather than physics.
@@ -117,7 +115,7 @@ class SimTrace:
         return self.t if name == "t_s" else getattr(self, name)
 
     def deviation_pu(self, kind: str) -> np.ndarray:
-        i = KIND_ORDER.index(kind)
+        i = KINDS.index(kind)
         x = (self.f_hz, self.vdc_v, self.vds_v)[i]
         comp = (self.delta_f_hz, self.delta_vdc_v, self.delta_vds_v)[i]
         return (x - self.bases[i] - comp) / self.bases[i]
@@ -164,8 +162,7 @@ class _Engine:
     x_b+ = M x_b + N drive, a drive row over z, and an output C x_b +
     D drive. The LTI blocks step by their RK4 maps, restoration by its
     exact velocity form. One loop stamps every entry into Z, and every
-    output row comes from one rule. The arrays are read-only: `run` shares
-    one engine between the calls that analyse a configuration.
+    output row comes from one rule. `run` assembles one engine per run.
     """
 
     def __init__(self, config: HybridConfig, toggles: Toggles, h: float):
@@ -175,12 +172,12 @@ class _Engine:
 
         # the LTI blocks by group, in state order
         lti = [(kind, [tf_to_statespace(build_open_loop_tf(s))])
-               for kind, s in zip(KIND_ORDER, specs)]
+               for kind, s in zip(KINDS, specs)]
         lti.append(("split", [tf_to_statespace(p_l_tf)]))
         if ilc is not None:
             if cspec is not None:
                 lti.append(("conc", [tf_to_statespace(concatenator_tf(cspec, kind))
-                                     for kind in KIND_ORDER]))
+                                     for kind in KINDS]))
             # the converter PI on its error e: z' = e, output k_i z + k_p e
             lti.append(("pi", [
                 StateSpace(A=np.zeros((1, 1)), B=np.ones(1), C=np.array([k_i]), D=k_p)
@@ -214,7 +211,7 @@ class _Engine:
 
         # strictly proper blocks are read with no drive: no feedthrough
         zero = np.zeros(w)
-        dev_rows = np.array([output((kind, 0), zero) for kind in KIND_ORDER])
+        dev_rows = np.array([output((kind, 0), zero) for kind in KINDS])
         comp_rows = (np.array([output(("rest", i), zero) for i in range(3)])
                      if "rest" in idx else np.zeros((3, w)))
         # concatenated deviations c = T_x dev, dev itself when bypassed
@@ -235,7 +232,7 @@ class _Engine:
         # per-unit output power, restoration e = (x_n* - 1) - dev - comp
         drives = {("split", 0): p_out[2] / specs[2].p_max_w,
                   ("pi", 0): e_rows[0], ("pi", 1): e_rows[1]}
-        for i, (kind, spec) in enumerate(zip(KIND_ORDER, specs)):
+        for i, (kind, spec) in enumerate(zip(KINDS, specs)):
             drives[kind, 0] = p_out[i] / spec.p_max_w
             drives["conc", i] = dev_rows[i]
             drives["rest", i] = e = -dev_rows[i] - comp_rows[i]
@@ -256,8 +253,6 @@ class _Engine:
         C = np.concatenate((bus, p_out, [p_l, p_out[2] - p_l, p1, p2],
                             comp_rows * bases))
 
-        for a in (Z, C, dev_rows):
-            a.setflags(write=False)
         self.Z, self.C, self.dev_rows = Z, C, dev_rows
         self.S, self.T = Z[:n, :n], Z[:n, n:]
 
@@ -265,12 +260,6 @@ class _Engine:
         """Settled z with the inputs u held: x = (I - S)^-1 T u, then u."""
         x = np.linalg.solve(np.eye(self.n) - self.S, self.T @ u)
         return np.concatenate((x, u))
-
-
-# The engine of the last (config, toggles, step) assembled: runs of one
-# configuration under different schedules or horizons share it. One entry,
-# so configurations never share one.
-_engine = lru_cache(maxsize=1)(_Engine)
 
 
 def _spectral_radius(S: np.ndarray) -> float:
@@ -310,7 +299,7 @@ def _schedule(scenario: Scenario) -> list[tuple[int, np.ndarray]]:
     kicks = []
     for e in scenario.events:
         du = np.zeros(4)
-        du[KIND_ORDER.index(e.kind)] = e.delta_w
+        du[KINDS.index(e.kind)] = e.delta_w
         kicks.append((scenario.step_of(e.time_s), du))
     return kicks
 
@@ -377,6 +366,14 @@ def _powers(P: np.ndarray, count: int) -> np.ndarray:
     return Q
 
 
+# Most trace samples a run may record: 200 s at every 0.1 ms step. A sample
+# holds the propagated state z (at most 25 doubles: 21 plant states and 4
+# inputs) and the trace's 17 columns (t, 13 signals, 3 loads), 336 bytes in
+# all, so the cap bounds those arrays at about 670 MB. Checked before
+# assembly, so a horizon too long to hold fails before any allocation.
+MAX_TRACE_SAMPLES = 2_000_000
+
+
 @lru_cache(maxsize=1)
 def run(scenario: Scenario, config: HybridConfig) -> SimTrace:
     """Advance the coupled system over the scenario horizon.
@@ -392,6 +389,9 @@ def run(scenario: Scenario, config: HybridConfig) -> SimTrace:
 
     Raises
     ------
+    SimError
+        When the trace would hold more than MAX_TRACE_SAMPLES samples
+        (checked before assembly).
     NumericalDivergence
         When the one-step map is not a contraction at the configured step
         (checked at assembly, before any propagation), or when any per-unit
@@ -401,7 +401,14 @@ def run(scenario: Scenario, config: HybridConfig) -> SimTrace:
     config.validate()
     h = scenario.step_s
     every = scenario.output_every
-    eng = _engine(config, scenario.toggles, h)
+    n_samples = int(round(scenario.horizon_s / h)) // every
+    if n_samples + 1 > MAX_TRACE_SAMPLES:
+        raise SimError(
+            f"the trace would hold {n_samples + 1:.7g} samples, more than the "
+            f"{MAX_TRACE_SAMPLES:,} a run records; shorten the horizon or "
+            f"raise output_every"
+        )
+    eng = _Engine(config, scenario.toggles, h)
     rho = _spectral_radius(eng.S)
     if not rho < 1.0:
         raise NumericalDivergence(
@@ -410,7 +417,7 @@ def run(scenario: Scenario, config: HybridConfig) -> SimTrace:
         )
     u0 = np.append(scenario.initial_loads_w, 1.0)
     Zs = _propagate(eng.Z, _schedule(scenario), eng.equilibrium(u0),
-                    int(round(scenario.horizon_s / h)) // every, every)
+                    n_samples, every)
 
     t = np.arange(len(Zs)) * (h * every)
     bad = ~np.all(np.abs(Zs @ eng.dev_rows.T) < DIVERGENCE_LIMIT, axis=1)
@@ -440,8 +447,11 @@ def measure(trace: SimTrace, event_time_s: float,
             require_settled: bool = True) -> Metrics:
     """Rates, nadirs and steady-state values around one load event.
 
-    Rates are two-sample forward differences at the event sample (magnitudes,
-    as rates of change are conventionally reported). Nadirs are the minima
+    Each rate is a two-sample forward difference over one output interval,
+    |x[i+1] - x[i]| / dt from the event sample i (dt is 10 ms on table1),
+    reported as a magnitude. It depends on that interval: on table1 the
+    three rates are within 5% of the closed-form predictions for intervals
+    from 4 ms to 50 ms, and not at 2 ms or 100 ms (README). Nadirs are the minima
     between the event and the next change of any subgrid's load. Steady
     values average the last 5% of the horizon after the settling check;
     require_settled=False skips the check and reports the trailing averages
@@ -562,7 +572,7 @@ def compare_with_gecm(
     sol = solve_nodal(sys_)
 
     sim_devs = np.column_stack([trace.deviation_pu(kind)[i0:i0 + n + 1]
-                                for kind in KIND_ORDER])
+                                for kind in KINDS])
     sim_devs -= sim_devs[0]  # isolate the step response
     # the model z = [x; u] under Z = [[M, N], [0, I]]; the constant input
     # drives nothing
@@ -576,7 +586,7 @@ def compare_with_gecm(
     denom = np.maximum(sim_rms, max(1e-6 * sim_rms.max(), 1e-30))
     fracs = (np.sqrt(np.mean(err ** 2, axis=0)) / denom).tolist()
     return GecmComparison(
-        rms_fraction=dict(zip(KIND_ORDER, fracs)), residual=sol.residual,
+        rms_fraction=dict(zip(KINDS, fracs)), residual=sol.residual,
         passed=max(fracs) <= XCHECK_TOLERANCE,
     )
 

@@ -82,11 +82,7 @@ class SubgridSpec:
         if self.kind not in KINDS:
             raise SubgridError(f"unknown subgrid kind {self.kind!r}")
         # the per-unit base and band, whether or not the droop is given
-        if self.x_max <= 0.0:
-            raise SubgridError(f"{self.kind}: x_max must be > 0, got {self.x_max}")
-        if self.x_min >= self.x_max:
-            raise DegenerateLimits(f"{self.kind}: need x_min < x_max, got "
-                                   f"{self.x_min}, {self.x_max}")
+        self.band  # raises on x_max <= 0 or x_min >= x_max
         # nominal may sit on the lower limit (the reference DC bus does)
         if not (self.x_min <= self.x_nominal <= self.x_max):
             raise SubgridError(
@@ -115,7 +111,14 @@ class SubgridSpec:
 
     @property
     def band(self) -> float:
-        """Permissible SI deviation range x_max - x_min."""
+        """Permissible SI deviation range x_max - x_min. Raises SubgridError
+        when x_max <= 0 (no per-unit base), DegenerateLimits when x_min >=
+        x_max: every per-unit quantity divides by x_max or by the band."""
+        if self.x_max <= 0.0:
+            raise SubgridError(f"{self.kind}: x_max must be > 0, got {self.x_max}")
+        if self.x_min >= self.x_max:
+            raise DegenerateLimits(f"{self.kind}: need x_min < x_max, got "
+                                   f"{self.x_min}, {self.x_max}")
         return self.x_max - self.x_min
 
 
@@ -131,15 +134,11 @@ def design_droop(spec: SubgridSpec) -> SubgridSpec:
     SubgridError
         When x_max <= 0: the per-unit band (x_max - x_min)/x_max is undefined.
     DegenerateLimits
-        When x_max == x_min.
+        When x_min >= x_max.
     NegativeDroop
         When damping is so large that the design denominator is <= 0.
     """
-    if spec.x_max <= 0.0:
-        raise SubgridError(f"{spec.kind}: x_max must be > 0, got {spec.x_max}")
     band = spec.band
-    if band == 0.0:
-        raise DegenerateLimits(f"{spec.kind}: x_max == x_min")
     if spec.kind == DS:
         y_l = spec.x_max / band
         out = replace(spec, y_l=y_l)

@@ -503,6 +503,32 @@ def test_cli_equal_limits_with_given_droop_exit2(tmp_path, table1_text, caplog,
     assert "ac: need x_min < x_max, got 51.0, 51.0" in caplog.text
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("f_min = 49", "f_min = 1e30", "ac: need x_min < x_max, got 1e+30, 51.0"),
+    ("f_max = 51 ", "f_max = 1e-30 ", "ac: need x_min < x_max, got 49.0, 1e-30"),
+    ("v_min = 370", "v_min = 1e30", "dc: need x_min < x_max, got 1e+30, 380.0"),
+    ("v_max = 380 ", "v_max = 1e-30 ", "dc: need x_min < x_max, got 370.0, 1e-30"),
+], ids=["ac-f_min", "ac-f_max", "dc-v_min", "dc-v_max"])
+def test_cli_inverted_limits_exit2(tmp_path, table1_text, caplog, old, new,
+                                   message):
+    # a band far below zero once rounded the droop identity r/(D r + 1) to 1/0
+    text = table1_text.replace(old, new, 1)
+    assert text != table1_text
+    path = tmp_path / "inverted.cfg"
+    path.write_text(text)
+    assert main(["predict", "--config", str(path)]) == 2
+    assert message in caplog.text
+
+
+def test_cli_simulate_trace_too_large_exit2(tmp_path, table1_text, caplog):
+    path = tmp_path / "long.cfg"
+    path.write_text(table1_text.replace("horizon = 40", "horizon = 1e30"))
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "the trace would hold 1e+32 samples, more than the 2,000,000" \
+        in caplog.text
+
+
 def test_cli_design_non_positive_cutoff_exit2(tmp_path, table1_text, caplog):
     # design defers only the resolution bound, not the cutoff's sign
     path = tmp_path / "w0.cfg"

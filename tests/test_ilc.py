@@ -41,6 +41,16 @@ def test_design_omegas_degenerate(ac_spec, dc_spec, ds_spec):
         design_omegas(W0, ac_spec, dc_spec, broken)
 
 
+@pytest.mark.parametrize("x_max, x_min", [(380.0, 1e30), (1e-30, 370.0)])
+def test_design_omegas_rejects_an_inverted_band(ac_spec, dc_spec, ds_spec,
+                                                x_max, x_min):
+    from dataclasses import replace
+
+    broken = replace(dc_spec, x_max=x_max, x_min=x_min)
+    with pytest.raises(DegenerateLimits, match="dc: need x_min < x_max"):
+        design_omegas(W0, ac_spec, broken, ds_spec)
+
+
 # ---------------------------------------------------------------------------
 # resolution lower bound
 # ---------------------------------------------------------------------------

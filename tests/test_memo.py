@@ -1,14 +1,13 @@
-"""Reuse of the trace, the engine, the nodal solution and the pooled
-stiffness.
+"""Reuse of the trace, the nodal solution and the pooled stiffness.
 
 Each is kept for the last inputs only (`functools.lru_cache(maxsize=1)`):
 a design study runs, cross-checks and analyses one configuration, and the
 later steps reuse what the earlier ones built, so the cross-check's `run`
-returns the trace the study's own run checked. Two configurations never
-share an entry, a reused result is bitwise the result of a fresh build,
-shared arrays are read-only and a shared trace's fields cannot be rebound,
-a run or solve that raised is not kept, and the checks `run` makes still
-run when only its engine is reused.
+returns the trace the study's own run checked, and the engine is assembled
+once. Two configurations never share an entry, a reused result is bitwise
+the result of a fresh build, shared arrays are read-only and a shared
+trace's fields cannot be rebound, a run or solve that raised is not kept,
+and a run that is not a memo hit makes all its checks again.
 """
 
 from dataclasses import FrozenInstanceError, replace
@@ -63,11 +62,6 @@ MEMOS = {
         lambda tr: (_bits(*map(tr.column, TRACE_COLUMNS), tr.loads_w),
                     tr.bases, tr.capacities),
     ),
-    "engine": (
-        sim._engine,
-        lambda cfg, sc: (cfg, sc.toggles, sc.step_s),
-        lambda e: (_bits(e.Z, e.C, e.dev_rows), e.idx, e.n),
-    ),
     "nodal solve": (
         solve_nodal,
         lambda cfg, sc: (_system(cfg, sc),),
@@ -97,15 +91,21 @@ def test_alternating_configurations_never_share_an_entry(name, table1,
     assert _hits_misses(memo) == (0, 3)
 
 
-def test_cross_check_reuses_the_runs_engine(table1):
-    # the cross-check's run returns the trace, so the engine is not asked again
+def test_cross_check_reuses_the_runs_engine(table1, monkeypatch):
+    # the cross-check's run returns the trace, so the engine is assembled once
     cfg, sc = table1
-    run.cache_clear()
-    sim._engine.cache_clear()
+    built = []
+
+    class CountingEngine(sim._Engine):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sim, "_Engine", CountingEngine)
     run(sc, cfg)
     compare_with_gecm(sc, cfg)
     assert _hits_misses(run) == (1, 1)
-    assert _hits_misses(sim._engine) == (0, 1)
+    assert built == [(cfg, sc.toggles, sc.step_s)]
 
 
 @pytest.mark.parametrize("case", ["table1", "pool_config"])
@@ -159,11 +159,10 @@ def test_diverged_run_is_not_kept(table1):
 
 def test_shared_arrays_are_read_only(table1):
     cfg, sc = table1
-    eng = sim._engine(cfg, sc.toggles, sc.step_s)
     sol = solve_nodal(_system(cfg, sc))
     trace = run(sc, cfg)
-    for a in (eng.Z, eng.S, eng.T, eng.C, eng.dev_rows, sol.A, sol.B, sol.b,
-              sol.C, *map(trace.column, TRACE_COLUMNS), trace.loads_w):
+    for a in (sol.A, sol.B, sol.b, sol.C, *map(trace.column, TRACE_COLUMNS),
+              trace.loads_w):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
     with pytest.raises(FrozenInstanceError):
@@ -178,18 +177,15 @@ def test_every_library_memo_keeps_one_entry_and_has_a_row():
 
 def test_reused_engine_still_checks_the_spectral_radius(table1, monkeypatch):
     cfg, sc = table1
-    sim._engine.cache_clear()
     run(sc, cfg)
     run.cache_clear()
     monkeypatch.setattr(sim, "_spectral_radius", lambda S: 1.5)
     with pytest.raises(NumericalDivergence, match=r"spectral radius 1\.5 >= 1"):
         run(sc, cfg)
-    assert _hits_misses(sim._engine) == (1, 1)
 
 
 def test_reused_engine_still_checks_the_propagated_states(table1, monkeypatch):
     cfg, sc = table1
-    sim._engine.cache_clear()
     run(sc, cfg)
     run.cache_clear()
 
@@ -199,4 +195,3 @@ def test_reused_engine_still_checks_the_propagated_states(table1, monkeypatch):
     monkeypatch.setattr(sim, "_propagate", nan_states)
     with pytest.raises(NumericalDivergence, match="t=0.0000 s"):
         run(sc, cfg)
-    assert _hits_misses(sim._engine) == (1, 1)

@@ -168,6 +168,37 @@ def test_unstable_at_every_step_says_so(cfg, monkeypatch):
         run(sc, cfg)
 
 
+@pytest.mark.parametrize("horizon_s, count", [(1e30, r"1e\+32"),
+                                              (1e6, r"1e\+08")],
+                         ids=["1e30s", "1e6s"])
+def test_trace_too_large_to_hold_is_rejected_before_assembly(
+        cfg, monkeypatch, horizon_s, count):
+    # 1e6 s at 0.1 ms every 100 steps is 1e8 samples, ~20 GB of states
+    import hmg.sim
+
+    def no_assembly(*args):
+        raise AssertionError("assembled an engine for a rejected trace")
+
+    monkeypatch.setattr(hmg.sim, "_Engine", no_assembly)
+    sc = Scenario(horizon_s=horizon_s, step_s=1e-4, events=REF_EVENTS)
+    with pytest.raises(SimError, match=f"would hold {count} samples, more than "
+                       "the 2,000,000 a run records"):
+        run(sc, cfg)
+
+
+def test_trace_cap_counts_the_recorded_samples(cfg, monkeypatch):
+    import hmg.sim
+
+    sc = Scenario(horizon_s=1.0, step_s=1e-4, output_every=1000)
+    monkeypatch.setattr(hmg.sim, "MAX_TRACE_SAMPLES", 11)
+    assert len(run(sc, cfg).t) == 11
+    run.cache_clear()
+    monkeypatch.setattr(hmg.sim, "MAX_TRACE_SAMPLES", 10)
+    with pytest.raises(SimError, match="would hold 11 samples, more than the "
+                       "10 a run records"):
+        run(sc, cfg)
+
+
 def test_divergence_check_catches_non_finite_states(cfg, monkeypatch):
     import hmg.sim
 
@@ -184,70 +215,8 @@ def test_composed_engine_matches_per_block_stepping(cfg):
     # with the reference converter, and with unequal loop gains, which tell
     # the two loops apart
     for ilc in (cfg.ilc, UNEQUAL_ILC):
-        _assert_engine_matches_per_block_stepping(replace(cfg, ilc=ilc))
-
-
-def _assert_engine_matches_per_block_stepping(cfg):
-    # the precomputed affine map must agree with literally stepping every
-    # block under held inputs and coupling the outputs once per step
-    from hmg.lti import tf_to_statespace
-    from hmg.sim import _Engine
-    from hmg.subgrid import build_open_loop_tf, hess_split
-    from oracle import (
-        IlcState,
-        SubgridState,
-        ilc_outputs,
-        ilc_step,
-        restoration_step,
-        step_rk4,
-    )
-
-    h = 1e-4
-    toggles = Toggles()
-    eng = _Engine(cfg, toggles, h)
-    loads = np.array([12e3, 14e3, 10e3])
-    u = np.append(loads, 1.0)
-    x = np.zeros(eng.n)
-
-    blocks = [tf_to_statespace(build_open_loop_tf(s)) for s in cfg.specs]
-    split = tf_to_statespace(hess_split(1.0, cfg.ds)[0])
-    block_x = [np.zeros(b.order) for b in blocks]
-    split_x = np.zeros(1)
-    ilc_state = IlcState()
-    cspec = cfg.concatenator_spec()
-    rest = [SubgridState() for _ in cfg.specs]
-
-    for _ in range(200):
-        x = eng.S @ x + eng.T @ u
-
-        devs = [float(b.C @ bx) for b, bx in zip(blocks, block_x)]
-        _, _, _, p1_w, p2_w = ilc_outputs(
-            ilc_state, devs[0], devs[1], devs[2], cfg.ilc, cspec, 60e3)
-        p_o = (loads[0] - p2_w, loads[1] - p1_w, loads[2] + p1_w + p2_w)
-        new_blocks = [
-            step_rk4(b, bx, p_o[i] / cfg.specs[i].p_max_w, h)
-            for i, (b, bx) in enumerate(zip(blocks, block_x))
-        ]
-        split_x = step_rk4(split, split_x, p_o[2] / cfg.ds.p_max_w, h)
-        ilc_state = ilc_step(ilc_state, devs[0], devs[1], devs[2],
-                             cfg.ilc, cspec, h, 60e3)
-        for i, spec in enumerate(cfg.specs):
-            rest[i].delta_x_pu = devs[i]
-            rest[i] = restoration_step(rest[i], spec.x_nominal_pu, h, spec)
-        block_x = new_blocks
-
-    for i, kind in enumerate(("ac", "dc", "ds")):
-        assert x[eng.idx[kind]] == pytest.approx(block_x[i], rel=1e-9, abs=1e-15)
-    assert x[eng.idx["split"]] == pytest.approx(split_x, rel=1e-9, abs=1e-15)
-    conc = x[eng.idx["conc"]]
-    assert conc == pytest.approx(
-        [ilc_state.z_ac, ilc_state.z_dc, ilc_state.z_ds], rel=1e-9, abs=1e-18)
-    assert x[eng.idx["pi"]] == pytest.approx(
-        [ilc_state.z1, ilc_state.z2], rel=1e-9, abs=1e-18)
-    start = eng.idx["rest"].start
-    comps = x[[start, start + 2, start + 4]]
-    assert comps == pytest.approx([r.delta_comp_pu for r in rest],
-                                  rel=1e-9, abs=1e-15)
+        _assert_engine_matches_per_block_stepping(replace(cfg, ilc=ilc),
+                                                  Toggles())
 
 
 ALL_TOGGLES = [Toggles(concatenator_enabled=c, restoration_enabled=r,
@@ -266,6 +235,12 @@ def test_composed_engine_matches_per_block_stepping_under_toggles(cfg, toggles):
     # every conditional group of the block table against the per-block
     # reference: no concatenator is cspec=None, no converter is no ILC step
     # and p1 = p2 = 0, no restoration is no restoration step
+    _assert_engine_matches_per_block_stepping(cfg, toggles)
+
+
+def _assert_engine_matches_per_block_stepping(cfg, toggles):
+    # the precomputed affine map must agree with literally stepping every
+    # block under held inputs and coupling the outputs once per step
     from hmg.lti import tf_to_statespace
     from hmg.sim import _Engine
     from hmg.subgrid import build_open_loop_tf, hess_split
@@ -523,7 +498,7 @@ def test_output_map_matches_per_column_formulas(source, toggles, monkeypatch):
 
     monkeypatch.setattr(hmg.sim, "_propagate", recording)
     trace = run(sc, config)
-    eng = hmg.sim._engine(config, toggles, sc.step_s)
+    eng = hmg.sim._Engine(config, toggles, sc.step_s)
     Zs, = states
     steps = np.arange(len(trace.t)) * sc.output_every
     loads = np.tile(sc.initial_loads_w, (len(steps), 1))

@@ -75,6 +75,19 @@ def test_design_droop_degenerate():
         design_droop(replace(spec, x_min=51.0, x_nominal=51.0))
 
 
+@pytest.mark.parametrize("kind", ["ac", "ds"])
+@pytest.mark.parametrize("x_max, x_min", [(51.0, 1e30), (1e-30, 49.0)])
+def test_design_droop_rejects_an_inverted_band(kind, x_max, x_min):
+    # a band far below zero rounds r/(D r + 1) to 1/0: the band is checked
+    # before the droop identity
+    from dataclasses import replace
+
+    spec = replace(make_ac() if kind == "ac" else make_ds(),
+                   x_max=x_max, x_min=x_min)
+    with pytest.raises(DegenerateLimits, match=f"{kind}: need x_min < x_max"):
+        design_droop(spec)
+
+
 def test_design_droop_negative():
     from dataclasses import replace
 
