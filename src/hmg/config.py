@@ -133,7 +133,11 @@ class Scenario:
             raise ConfigError("events must be sorted by time")
         if any(t < 0.0 or t > self.horizon_s for t in times):
             raise ConfigError("event times must lie within [0, horizon]")
-        last = int(round(self.horizon_s / self.step_s))
+        last = self.horizon_s / self.step_s
+        if not math.isfinite(last):
+            raise ConfigError(f"horizon {self.horizon_s:g} s at step {self.step_s:g} s "
+                              "holds more steps than a float can count")
+        last = int(round(last))
         for e in self.events:
             if e.kind not in KINDS:
                 raise ConfigError(f"unknown subgrid {e.kind!r} in event")

@@ -39,9 +39,10 @@ import numpy as np
 
 from .ilc import ConcatenatorSpec, IlcSpec, concatenator_tf, ilc_equivalent_impedances
 from .lti import (
+    Blocks,
     Polynomial,
     RationalTF,
-    poly_mul,  # noqa: F401  perfbench/spans.py counts calls through it (ROADMAP item 2)
+    poly_mul,  # noqa: F401  kept while perfbench/spans.py counts calls through it
     tf,
     tf_add,
     tf_eval,
@@ -69,7 +70,7 @@ RESIDUAL_POINTS = (
 )
 BODE_POINTS = 300  # default Bode grid, log-spaced over 1e-4..1e4 rad/s
 
-# perfbench/spans.py imports this and indexes it with freq_scale (ROADMAP item 2).
+# Kept while perfbench/spans.py imports this and indexes it with freq_scale.
 FREQ_SCALE_CANDIDATES = (1.0,)
 
 
@@ -130,7 +131,7 @@ class NodalSolution:
     b: np.ndarray
     C: np.ndarray
     residual: float
-    # traced perfbench runs look this up in FREQ_SCALE_CANDIDATES (ROADMAP item 2)
+    # kept while perfbench/spans.py looks this up in FREQ_SCALE_CANDIDATES
     freq_scale = 1.0
 
     def responses(self, s) -> np.ndarray:
@@ -160,7 +161,7 @@ class NodalSolution:
         num = np.poly(self.A - np.outer(self.b, self.C[KINDS.index(kind)])) - den
         return RationalTF(Polynomial(tuple(num[::-1])), Polynomial(tuple(den[::-1])))
 
-    # perfbench `analyze` and `hmg bode f_closed` compose these (ROADMAP item 2)
+    # perfbench/workloads.py `analyze` and `hmg bode f_closed` compose these
     delta_f_pu = property(lambda self: self.channel(AC))
     delta_vdc_pu = property(lambda self: self.channel(DC))
     delta_vds_pu = property(lambda self: self.channel(DS))
@@ -216,23 +217,18 @@ def _interconnect(sys: GecmSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The branches Z_x are driven by their output powers P_ox; with a
     converter, the concatenators T_x by V_x and the couplings 1/Z_ILCn by
-    the concatenated differences. Each block's output is a row over x.
+    the concatenated differences. Each block's output is a row over
+    [x; P_L], so one stamp yields [A | B].
     """
-    blocks = [tf_to_statespace(z) for z in (sys.z_ac, sys.z_dc, sys.z_ds)]
+    tfs = [sys.z_ac, sys.z_dc, sys.z_ds]     # blocks 0-2; T_x 3-5, 1/Z_ILCn 6-7
     if sys.z_ilc1 is not None:
-        blocks += [tf_to_statespace(t) for t in (sys.t_ac, sys.t_dc, sys.t_ds)]
-        blocks += [tf_to_statespace(tf_reciprocal(z))
-                   for z in (sys.z_ilc1, sys.z_ilc2)]
-    ends = np.cumsum([b.order for b in blocks])
-    n = int(ends[-1])
-    spans = [slice(e - b.order, e) for b, e in zip(blocks, ends)]
+        tfs += [sys.t_ac, sys.t_dc, sys.t_ds,
+                tf_reciprocal(sys.z_ilc1), tf_reciprocal(sys.z_ilc2)]
+    blocks = Blocks({k: (b.A, b.B, b.C, b.D)
+                     for k, b in enumerate(map(tf_to_statespace, tfs))}, inputs=3)
+    n, output = blocks.n, blocks.output
 
-    def output(k: int, drive: np.ndarray) -> np.ndarray:
-        row = blocks[k].D * drive
-        row[spans[k]] += blocks[k].C
-        return row
-
-    zero = np.zeros(n)
+    zero = np.zeros(blocks.width)
     v = [output(k, zero) for k in range(3)]  # strictly proper: no feedthrough
     p1 = p2 = zero
     drives = []
@@ -241,15 +237,10 @@ def _interconnect(sys: GecmSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         e = [c[1] - c[2], c[0] - c[2]]       # the numerators of p1 and p2
         p1, p2 = output(6, e[0]), output(7, e[1])
         drives = v + e
-    p_o = [-p2, -p1, p1 + p2]                # plus the loads P_L
-    A = np.zeros((n, n))
-    B = np.zeros((n, 3))
-    for k, drive in enumerate(p_o + drives):
-        A[spans[k], spans[k]] = blocks[k].A
-        A[spans[k]] += np.outer(blocks[k].B, drive)
-    for k in range(3):
-        B[spans[k], k] = blocks[k].B
-    return A, B, -np.array(v)
+    p_o = np.array([-p2, -p1, p1 + p2])
+    p_o[:, n:] += np.eye(3)                  # plus the loads P_L
+    F = blocks.stamp(dict(enumerate([*p_o, *drives])))
+    return F[:n, :n], F[:n, n:], -np.array(v)[:, :n]
 
 
 @lru_cache(maxsize=1)

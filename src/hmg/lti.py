@@ -11,6 +11,8 @@ primitives in this module:
   ``RationalTF``.
 * ``rk4_step_maps`` -- the linear one-step map x+ = M x + N u of classical
   4th-order Runge-Kutta with the input held constant over the step.
+* ``Blocks`` -- one layout, output rule and stamping pass for a keyed
+  table of linear blocks, shared by the engine and the circuit model.
 * ``ivt_rate_limit`` / ``fvt_limit`` -- the s->inf and s->0 limits of
   ``s*F(s)`` used for rate-of-change and steady-state analysis.
 
@@ -287,6 +289,37 @@ def rk4_step_maps(ss: StateSpace, h: float) -> tuple[np.ndarray, np.ndarray]:
         acc = acc + term
     N = acc @ ss.B
     return M, N
+
+
+class Blocks:
+    """Keyed linear blocks (M, N, C, D) on one vector z = [x; u]: each block
+    takes the next span of x in insertion order, and `inputs` entries u
+    follow x. (M, N) is a continuous (A, B) or a one-step map, and a block
+    outputs C x_b + D drive, where a drive is a row over z."""
+
+    def __init__(self, table: dict, inputs: int):
+        self.table, self.spans, pos = table, {}, 0
+        for key, (M, _, _, _) in table.items():
+            self.spans[key] = slice(pos, pos + len(M))
+            pos += len(M)
+        self.n, self.width = pos, pos + inputs
+
+    def output(self, key, drive: np.ndarray) -> np.ndarray:
+        """The block's output row over z: D drive, plus C on its span."""
+        _, _, C, D = self.table[key]
+        row = D * drive
+        row[self.spans[key]] += C
+        return row
+
+    def stamp(self, drives: dict) -> np.ndarray:
+        """The square map over z: each M on its diagonal span, N ⊗ drive
+        across its rows (`drives` keyed as the table); input rows zero."""
+        out = np.zeros((self.width, self.width))
+        for key, (M, N, _, _) in self.table.items():
+            span = self.spans[key]
+            out[span, span] = M
+            out[span] += np.outer(N, drives[key])
+        return out
 
 
 def ivt_rate_limit(f: RationalTF) -> float:

@@ -41,7 +41,7 @@ import numpy as np
 from .config import Event, HybridConfig, Scenario, Toggles
 from .gecm import build_gecm, solve_nodal
 from .ilc import concatenator_tf
-from .lti import StateSpace, rk4_step_maps, tf_to_statespace
+from .lti import Blocks, StateSpace, rk4_step_maps, tf_to_statespace
 from .subgrid import KINDS, build_open_loop_tf, hess_split
 
 __all__ = [
@@ -161,8 +161,9 @@ class _Engine:
     converter and restoration PIs included, is one entry: a one-step map
     x_b+ = M x_b + N drive, a drive row over z, and an output C x_b +
     D drive. The LTI blocks step by their RK4 maps, restoration by its
-    exact velocity form. One loop stamps every entry into Z, and every
-    output row comes from one rule. `run` assembles one engine per run.
+    exact velocity form. `lti.Blocks` lays the table out, forms every
+    output row and stamps Z; `spans` maps each (group, i) to its states.
+    `run` assembles one engine per run.
     """
 
     def __init__(self, config: HybridConfig, toggles: Toggles, h: float):
@@ -170,63 +171,50 @@ class _Engine:
         ilc, cspec = config.coupling(toggles)
         p_l_tf, _ = hess_split(1.0, specs[2])  # designs y_l when absent
 
-        # the LTI blocks by group, in state order
-        lti = [(kind, [tf_to_statespace(build_open_loop_tf(s))])
-               for kind, s in zip(KINDS, specs)]
-        lti.append(("split", [tf_to_statespace(p_l_tf)]))
+        # the LTI blocks, (group, i) -> StateSpace, in state order
+        lti = {(kind, 0): tf_to_statespace(build_open_loop_tf(s))
+               for kind, s in zip(KINDS, specs)}
+        lti["split", 0] = tf_to_statespace(p_l_tf)
         if ilc is not None:
             if cspec is not None:
-                lti.append(("conc", [tf_to_statespace(concatenator_tf(cspec, kind))
-                                     for kind in KINDS]))
+                lti |= {("conc", i): tf_to_statespace(concatenator_tf(cspec, kind))
+                        for i, kind in enumerate(KINDS)}
             # the converter PI on its error e: z' = e, output k_i z + k_p e
-            lti.append(("pi", [
+            lti["pi", 0], lti["pi", 1] = (
                 StateSpace(A=np.zeros((1, 1)), B=np.ones(1), C=np.array([k_i]), D=k_p)
-                for k_p, k_i in ((ilc.k_tp1, ilc.k_ti1), (ilc.k_tp2, ilc.k_ti2))]))
-        # the block table: (group, [(M, N, C, D) per block])
-        table = [(name, [(*rk4_step_maps(b, h), b.C, b.D) for b in group])
-                 for name, group in lti]
+                for k_p, k_i in ((ilc.k_tp1, ilc.k_ti1), (ilc.k_tp2, ilc.k_ti2)))
+        # the block table, (group, i) -> (M, N, C, D)
+        table = {key: (*rk4_step_maps(b, h), b.C, b.D) for key, b in lti.items()}
         if toggles.restoration_enabled:
             # velocity form: comp+ = comp + (k_p + k_i h) e - k_p e_prev, e_prev+ = e
-            table.append(("rest", [(np.array([[1.0, -s.k_p], [0.0, 0.0]]),
-                                    np.array([s.k_p + s.k_i * h, 1.0]),
-                                    np.array([1.0, 0.0]), 0.0) for s in specs]))
-
-        blocks, idx, pos = {}, {}, 0             # (group, i) -> (span, M, N, C, D)
-        for name, group in table:
-            start = pos
-            for i, (M, N, C, D) in enumerate(group):
-                blocks[name, i] = (slice(pos, pos + len(M)), M, N, C, D)
-                pos += len(M)
-            idx[name] = slice(start, pos)
-        self.n = n = pos
-        self.idx = idx
-        w, one = n + 4, n + 3                    # z width, the constant input
-
-        def output(key, drive):
-            """The block's output row over z: D drive, plus C on its states."""
-            span, _, _, C, D = blocks[key]
-            row = D * drive
-            row[span] += C
-            return row
+            table.update({("rest", i): (np.array([[1.0, -s.k_p], [0.0, 0.0]]),
+                                        np.array([s.k_p + s.k_i * h, 1.0]),
+                                        np.array([1.0, 0.0]), 0.0)
+                          for i, s in enumerate(specs)})
+        blocks = Blocks(table, inputs=4)
+        self.n = n = blocks.n
+        self.spans = blocks.spans
+        w, one = blocks.width, n + 3             # z width, the constant input
 
         # strictly proper blocks are read with no drive: no feedthrough
         zero = np.zeros(w)
-        dev_rows = np.array([output((kind, 0), zero) for kind in KINDS])
-        comp_rows = (np.array([output(("rest", i), zero) for i in range(3)])
-                     if "rest" in idx else np.zeros((3, w)))
+        dev_rows = np.array([blocks.output((kind, 0), zero) for kind in KINDS])
+        comp_rows = (np.array([blocks.output(("rest", i), zero) for i in range(3)])
+                     if ("rest", 0) in table else np.zeros((3, w)))
         # concatenated deviations c = T_x dev, dev itself when bypassed
-        c = ([output(("conc", i), dev_rows[i]) for i in range(3)]
-             if "conc" in idx else dev_rows)
+        c = ([blocks.output(("conc", i), dev_rows[i]) for i in range(3)]
+             if ("conc", 0) in table else dev_rows)
         e_rows = [c[2] - c[1], c[2] - c[0]]      # c_ds - c_dc, c_ds - c_ac
 
         # converter powers in watts
-        p1, p2 = ([output(("pi", j), e) * config.p_gmax_w
-                   for j, e in enumerate(e_rows)] if "pi" in idx else (zero, zero))
+        p1, p2 = ([blocks.output(("pi", j), e) * config.p_gmax_w
+                   for j, e in enumerate(e_rows)]
+                  if ("pi", 0) in table else (zero, zero))
 
         # subgrid output powers in watts: the load less the converter power
         p_out = np.array([-p2, -p1, p1 + p2])
         p_out[:, n:one] += np.eye(3)
-        p_l = output(("split", 0), zero) * specs[2].p_max_w
+        p_l = blocks.output(("split", 0), zero) * specs[2].p_max_w
 
         # drive rows; the subgrid blocks and the split filter see local
         # per-unit output power, restoration e = (x_n* - 1) - dev - comp
@@ -239,11 +227,8 @@ class _Engine:
             e[one] = spec.x_nominal_pu - 1.0
 
         # one-step update z+ = Z z
-        Z = np.zeros((w, w))
-        Z[n:, n:] = np.eye(4)
-        for key, (span, M, N, _, _) in blocks.items():
-            Z[span, span] = M
-            Z[span, :] += N[:, None] * drives[key]
+        Z = blocks.stamp(drives)
+        Z[n:, n:] = np.eye(4)                    # the inputs hold
 
         # output map, rows in TRACE_COLUMNS order: bus values
         # x* = (1 + dev + comp) x_max, the powers, the compensations in SI

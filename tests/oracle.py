@@ -78,32 +78,33 @@ def affine_loop(S: np.ndarray, segments, x0: np.ndarray,
     return X
 
 
-def trace_columns(config, toggles, idx: dict, X: np.ndarray,
+def trace_columns(config, toggles, spans: dict, X: np.ndarray,
                   loads: np.ndarray) -> dict:
     """The trace columns after t_s, by name, from the plant states X
-    (samples, n) laid out as `idx` says and the applied loads (samples, 3):
+    (samples, n), each block's states at `spans[(group, i)]`, and the
+    applied loads (samples, 3):
     bus values (1 + dev + comp) x_max, the converter powers of
     ``ilc_outputs``, output powers as load less converter power, and the
     storage split's slow branch."""
     specs = config.specs
     zeros = np.zeros(len(X))
-    devs = [X[:, idx[kind]] @ tf_to_statespace(build_open_loop_tf(spec)).C
+    devs = [X[:, spans[kind, 0]] @ tf_to_statespace(build_open_loop_tf(spec)).C
             for kind, spec in zip((AC, DC, DS), specs)]
     comps = [zeros] * 3
     if toggles.restoration_enabled:
-        start = idx["rest"].start
-        comps = [X[:, start + 2 * i] for i in range(3)]
+        comps = [X[:, spans["rest", i].start] for i in range(3)]
     p1 = p2 = zeros
     if toggles.ilc_enabled:
         cspec = config.concatenator_spec() if toggles.concatenator_enabled else None
-        z = X[:, idx["conc"]].T if cspec is not None else [zeros] * 3
+        z = ([X[:, spans["conc", i].start] for i in range(3)]
+             if cspec is not None else [zeros] * 3)
         state = IlcState(z_ac=z[0], z_dc=z[1], z_ds=z[2],
-                         z1=X[:, idx["pi"].start], z2=X[:, idx["pi"].start + 1])
+                         z1=X[:, spans["pi", 0].start], z2=X[:, spans["pi", 1].start])
         *_, p1, p2 = ilc_outputs(state, *devs, config.ilc, cspec,
                                  config.p_gmax_w)
     p_out = (loads[:, 0] - p2, loads[:, 1] - p1, loads[:, 2] + p1 + p2)
     split = tf_to_statespace(hess_split(1.0, specs[2])[0])
-    p_l = X[:, idx["split"]] @ split.C * specs[2].p_max_w
+    p_l = X[:, spans["split", 0]] @ split.C * specs[2].p_max_w
     cols = {}
     for i, (bus, delta) in enumerate((("f_hz", "delta_f_hz"),
                                       ("vdc_v", "delta_vdc_v"),

@@ -333,6 +333,16 @@ def test_cli_simulate_event_after_last_step_exit2(tmp_path, table1_text,
     assert not (tmp_path / "o" / "trace.csv").exists()
 
 
+def test_cli_step_count_beyond_a_float_exit2(tmp_path, table1_text, caplog):
+    # 1e300 s / 1e-10 s overflows to inf: a step count no integer can take
+    cfg = _short_config(tmp_path, table1_text, horizon="1e300",
+                        extra=[("step = 1e-4", "step = 1e-10")])
+    assert "step = 1e-10" in cfg.read_text()
+    code = main(["predict", "--config", str(cfg)])
+    assert code == 2
+    assert "horizon 1e+300 s at step 1e-10 s holds more steps" in caplog.text
+
+
 def test_cli_bode_targets(tmp_path, capsys):
     out = tmp_path / "t_ac.csv"
     code = main(["bode", "T_ac", "--config", str(TABLE1), "--out", str(out)])

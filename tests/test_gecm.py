@@ -453,6 +453,36 @@ def test_ideal_global_tf_matches_per_channel_build(source, monkeypatch):
                     assert np.array(a.coeffs).tobytes() == np.array(b.coeffs).tobytes()
 
 
+def _ideal_coupling_gap(lam: float, w: float) -> float:
+    """Worst relative gap over the three channels at s = jw between the
+    finite-gain nodal model, all four converter gains of table1 scaled by
+    lam, and the ideal-coupling form times table1's first-group load."""
+    loaded = load_config(TABLE1)
+    cfg, loads = loaded.config, loaded.scenario().first_group_w()
+    ilc = replace(cfg.ilc, **{k: lam * getattr(cfg.ilc, k) for k in REF_GAINS})
+    cspec = cfg.concatenator_spec()
+    got = solve_nodal(build_gecm(*cfg.specs, ilc, cspec, loads)).responses(1j * w)
+    want = np.array([tf_eval(ideal_global_deviation_tf(cfg.specs, cspec, kind), 1j * w)
+                     for kind in ("ac", "dc", "ds")]) * sum(loads) / cfg.p_gmax_w
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+@pytest.mark.parametrize("w", (100.0, 1000.0))
+def test_nodal_model_converges_to_ideal_coupling_at_first_order(w):
+    # the rate predictions rest on the infinite-gain form: scaling the
+    # converter gains by lam shrinks the gap as 1/lam (measured on table1:
+    # 1.6e-2 / lam at 100 rad/s, 0.23 / lam at 1000 rad/s)
+    gap_1 = _ideal_coupling_gap(1.0, w)
+    for lam in (10.0, 100.0, 1e3):
+        assert lam * _ideal_coupling_gap(lam, w) == pytest.approx(gap_1, rel=0.1)
+
+
+def test_ideal_coupling_holds_at_table1_gains_below_100_rad_s():
+    # within 2% up to 100 rad/s at table1's gains, and 7e-6 at 1 rad/s
+    assert _ideal_coupling_gap(1.0, 100.0) < 0.02
+    assert _ideal_coupling_gap(1.0, 1.0) < 1e-5
+
+
 # ---------------------------------------------------------------------------
 # restoration in the Laplace picture
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hmg.cli import BODE_TARGETS, _bode_tf
 from hmg.config import load_config
 from hmg.gecm import default_bode_grid
 from hmg.lti import (
+    Blocks,
     EvalAtPole,
     FvtInvalid,
     ImproperTF,
@@ -360,3 +361,45 @@ def test_fvt_matches_long_simulation():
         got = float(ss.C @ x + ss.D)
         assert got == pytest.approx(want, rel=5e-3)
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# block layout
+# ---------------------------------------------------------------------------
+
+def _toy_blocks(order):
+    """Two blocks, "a" with two states and feedthrough, "b" with one state
+    and none, inserted in `order`, with one input after their states."""
+    entries = {"a": (np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5.0, 6.0]),
+                     np.array([7.0, 8.0]), 0.5),
+               "b": (np.array([[9.0]]), np.array([10.0]), np.array([11.0]), 0.0)}
+    return Blocks({key: entries[key] for key in order}, inputs=1)
+
+
+def test_blocks_spans_follow_insertion_order():
+    ab, ba = _toy_blocks("ab"), _toy_blocks("ba")
+    assert ab.spans == {"a": slice(0, 2), "b": slice(2, 3)}
+    assert ba.spans == {"b": slice(0, 1), "a": slice(1, 3)}
+    assert (ab.n, ab.width) == (ba.n, ba.width) == (3, 4)
+
+
+def test_blocks_output_is_feedthrough_plus_c_on_own_span():
+    blocks = _toy_blocks("ab")
+    drive = np.array([1.0, -1.0, 2.0, 3.0])
+    assert blocks.output("a", drive).tolist() == [7.5, 7.5, 1.0, 1.5]
+    assert blocks.output("b", drive).tolist() == [0.0, 0.0, 11.0, 0.0]
+    assert drive.tolist() == [1.0, -1.0, 2.0, 3.0]  # the drive is not written
+
+
+def test_blocks_stamp_places_m_on_diagonal_and_drive_on_own_rows():
+    blocks = _toy_blocks("ba")                      # b on state 0, a on 1-2
+    d_a, d_b = np.array([1.0, 0.0, 2.0, -1.0]), np.array([0.0, 3.0, 0.0, 1.0])
+    F = blocks.stamp({"a": d_a, "b": d_b})
+    want = np.zeros((4, 4))
+    want[0, 0] = 9.0
+    want[1:3, 1:3] = [[1.0, 2.0], [3.0, 4.0]]
+    want[0] += 10.0 * d_b
+    want[1:3] += np.outer([5.0, 6.0], d_a)
+    np.testing.assert_array_equal(F, want)
+    assert not F[3].any()                           # the input row stays zero
+

@@ -260,7 +260,7 @@ def _assert_engine_matches_per_block_stepping(cfg, toggles):
     groups |= {"conc"} if conc_on else set()
     groups |= {"pi"} if toggles.ilc_enabled else set()
     groups |= {"rest"} if toggles.restoration_enabled else set()
-    assert set(eng.idx) == groups
+    assert {group for group, _ in eng.spans} == groups
     loads = np.array([12e3, 14e3, 10e3])
     u = np.append(loads, 1.0)
     x = np.zeros(eng.n)
@@ -296,17 +296,18 @@ def _assert_engine_matches_per_block_stepping(cfg, toggles):
                 rest[i] = restoration_step(rest[i], spec.x_nominal_pu, h, spec)
 
     for i, kind in enumerate(("ac", "dc", "ds")):
-        assert x[eng.idx[kind]] == pytest.approx(block_x[i], rel=1e-9, abs=1e-15)
-    assert x[eng.idx["split"]] == pytest.approx(split_x, rel=1e-9, abs=1e-15)
+        assert x[eng.spans[kind, 0]] == pytest.approx(block_x[i], rel=1e-9, abs=1e-15)
+    assert x[eng.spans["split", 0]] == pytest.approx(split_x, rel=1e-9, abs=1e-15)
     if conc_on:
-        assert x[eng.idx["conc"]] == pytest.approx(
+        conc = [x[eng.spans["conc", i]] for i in range(3)]
+        assert np.concatenate(conc) == pytest.approx(
             [ilc_state.z_ac, ilc_state.z_dc, ilc_state.z_ds], rel=1e-9, abs=1e-18)
     if toggles.ilc_enabled:
-        assert x[eng.idx["pi"]] == pytest.approx(
+        pi = [x[eng.spans["pi", j]] for j in range(2)]
+        assert np.concatenate(pi) == pytest.approx(
             [ilc_state.z1, ilc_state.z2], rel=1e-9, abs=1e-18)
     if toggles.restoration_enabled:
-        start = eng.idx["rest"].start
-        comps = x[[start, start + 2, start + 4]]
+        comps = [x[eng.spans["rest", i].start] for i in range(3)]
         assert comps == pytest.approx([r.delta_comp_pu for r in rest],
                                       rel=1e-9, abs=1e-15)
 
@@ -506,7 +507,7 @@ def test_output_map_matches_per_column_formulas(source, toggles, monkeypatch):
         loads[steps >= sc.step_of(e.time_s),
               ("ac", "dc", "ds").index(e.kind)] += e.delta_w
     assert np.array_equal(trace.loads_w, loads)
-    want = trace_columns(config, toggles, eng.idx, Zs[:, :eng.n], loads)
+    want = trace_columns(config, toggles, eng.spans, Zs[:, :eng.n], loads)
     for name in TRACE_COLUMNS[1:]:
         ref = want[name]
         # the converter gains (~2.4e8 W per unit) scale the states' last bits
