@@ -580,17 +580,140 @@ def compare_with_gecm(
 # trace output
 # ---------------------------------------------------------------------------
 
-# Rows converted to Python floats at a time: bounds the writer's memory on
-# long traces while keeping the per-row cost in one %-format call.
+# Rows formatted at a time: bounds the writer's memory on long traces.
 CSV_BLOCK_ROWS = 1024
-_CSV_ROW = "%.10g" + ",%.6g" * (len(TRACE_COLUMNS) - 1) + "\n"
+
+# The ASCII digits of 000..999 as little-endian words, their trailing
+# zeros, and the doubles 10**0..10**22, all exact.
+_DIGITS3 = np.array([[*b"%03d" % i, 0] for i in range(1000)], np.uint8).view("<u4").ravel()
+_TRAILING_ZEROS = np.array(
+    [3] + [len(str(i)) - len(str(i).rstrip("0")) for i in range(1, 1000)])
+_POW10 = 10.0 ** np.arange(23)
+# Decimal exponents of doubles lie in -_EXP_SPAN.._EXP_SPAN; those the
+# arrays format (|k| <= 22) have two digits.
+_EXP_SPAN = 400
+_EXPONENTS = np.arange(-_EXP_SPAN, _EXP_SPAN + 1)
+# an exponent's last two digits in bytes 1-2, then its sign
+_EXP_WORDS = _DIGITS3[np.abs(_EXPONENTS) % 100] | np.where(
+    _EXPONENTS < 0, ord("-") << 24, ord("+") << 24).astype("<u4")
+
+
+class _GFormat:
+    """`"%.Pg" % x` over an array of doubles, byte for byte, as byte lanes.
+
+    A value's P significant digits are rint(|x| 10**k), where k is P - 1
+    minus its decimal exponent and 10**k is exact (|k| <= 22), so the
+    scaled value holds one rounding: at most 2**-33 (P = 6) or 2**-19
+    (P = 10) off the true one. A fraction within `tie` of one half could
+    round either way there. Such values, zero, non-finite values, a scale
+    beyond 10**22 and a carry to P + 1 digits are formatted by `%` itself.
+
+    Each value's text is read from its source row, little-endian words of
+    four bytes: its digit groups of three (the first word's fourth byte is
+    the separator), "-.0e", and the exponent's digits and sign. One index
+    pattern per layout picks the bytes. A layout is the sign, the form
+    (fixed point at exponents -4..P-1, else exponent form) and the digit
+    count left after trailing zeros.
+    """
+
+    def __init__(self, precision: int, tie: float):
+        P = self.P = precision
+        self.fmt, self.tie = f"%.{P}g", tie
+        G = -(-P // 3)
+        self.words = G + 2
+        digit = [4 * (p // 3) + p % 3 for p in range(3 * G - P, 3 * G)]
+        minus, dot, zero, e = range(4 * G, 4 * G + 4)
+        exp_digits, exp_sign, sep = [4 * G + 5, 4 * G + 6], 4 * G + 7, 3
+        layouts = []
+        for sign in (0, 1):
+            for form in range(P + 5):
+                for nd in range(1, P + 1):
+                    out = [minus] * sign
+                    if form == P + 4:   # exponent form
+                        out += [digit[0]] + [dot, *digit[1:nd]] * (nd > 1)
+                        out += [e, exp_sign, *exp_digits]
+                    elif form >= 4:     # fixed point, exponent 0..P-1
+                        out += digit[:form - 3]
+                        out += [dot, *digit[form - 3:nd]] * (nd > form - 3)
+                    else:               # fixed point, exponent -4..-1
+                        out += [zero, dot] + [zero] * (3 - form) + digit[:nd]
+                    layouts.append(out + [sep])
+        width = P + 8   # the longest `%` text, -d.ddddde-ddd, and the separator
+        self.patterns = np.array(
+            [lay + [sep] * (width - len(lay)) for lay in layouts], np.uint8
+        ).view(f"V{width}").ravel()
+        self.masks = (np.arange(width) < np.array(list(map(len, layouts)))[:, None]
+                     ).view(f"V{width}").ravel()
+        # layout of a positive value with P digits left, by exponent
+        fixed = (_EXPONENTS >= -4) & (_EXPONENTS < P)
+        self.layout_of_exp = np.where(fixed, _EXPONENTS + 4, P + 4) * P + P - 1
+
+    def digits(self, x: np.ndarray):
+        """Which values the arrays format (the rest go to `%`), the decimal
+        exponent of each plus _EXP_SPAN, and its P digits as an integer."""
+        P = self.P
+        a = np.abs(x)
+        ok = np.isfinite(a) & (a > 0)
+        a[~ok] = 1.0
+        e = np.floor(np.log10(a)).astype(np.intp) + _EXP_SPAN
+        # |k| > 22, or an exponent log10 misjudged, leaves m out of range
+        k = P - 1 + _EXP_SPAN - e
+        m = a * _POW10.take(k, mode="clip") / _POW10.take(-k, mode="clip")
+        r = np.rint(m)
+        ok &= (m >= 10.0 ** (P - 1)) & (r < 10.0 ** P) & (np.abs(m - r) < 0.5 - self.tie)
+        r[~ok] = 10.0 ** (P - 1)
+        return ok, e, r
+
+    def __call__(self, x: np.ndarray, sep: np.ndarray):
+        """Lanes (len(x), width) holding each value's text and then its
+        separator (given as `sep << 24`), and the mask of the lanes to keep."""
+        P, n = self.P, len(x)
+        ok, e, r = self.digits(x)
+        src = np.empty((n, self.words), "<u4")
+        layout = self.layout_of_exp.take(e, mode="clip") + np.signbit(x) * ((P + 5) * P)
+        trailing = np.ones(n, bool)          # all less significant groups are 0
+        for g in range(self.words - 3, -1, -1):
+            rest = np.floor(r / 1000.0)
+            group = (r - 1000.0 * rest).astype(np.intp)
+            r = rest
+            src[:, g] = _DIGITS3.take(group)
+            layout -= trailing * _TRAILING_ZEROS.take(group)
+            trailing &= group == 0
+        src[:, 0] |= sep
+        src[:, -2] = int.from_bytes(b"-.0e", "little")
+        src[:, -1] = _EXP_WORDS.take(e, mode="clip")
+        width = self.patterns.itemsize
+        index = self.patterns.take(layout).view(np.uint8).reshape(n, width) + (
+            np.arange(0, n * 4 * self.words, 4 * self.words)[:, None])
+        lanes = src.view(np.uint8).ravel().take(index, mode="clip")
+        keep = self.masks.take(layout).view(bool).reshape(n, width)
+        other = np.flatnonzero(~ok)
+        if len(other):
+            text = np.array([self.fmt % v for v in x[other].tolist()], f"S{width}")
+            size = np.char.str_len(text)
+            text = text.view(np.uint8).reshape(len(other), width)
+            text[np.arange(len(other)), size] = src[other, 0] >> 24
+            lanes[other] = text
+            keep[other] = np.arange(width) <= size[:, None]
+        return lanes, keep
+
+
+_TIME_G = _GFormat(10, tie=1e-5)
+_SIGNAL_G = _GFormat(6, tie=1e-9)
 
 
 def write_trace_csv(trace: SimTrace, path) -> None:
-    """Write the run history with the fixed column contract."""
+    """Write the run history with the fixed column contract: `t_s` as
+    "%.10g" and every other column as "%.6g", byte for byte."""
     cols = [trace.column(c) for c in TRACE_COLUMNS]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
+    seps = np.frombuffer(b"," * (len(cols) - 1) + b"\n", np.uint8).astype("<u4") << 24
+    with open(path, "wb") as fh:
+        fh.write((",".join(TRACE_COLUMNS) + "\n").encode())
         for start in range(0, len(trace.t), CSV_BLOCK_ROWS):
-            block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in cols]
-            fh.writelines(_CSV_ROW % row for row in zip(*block))
+            t = cols[0][start:start + CSV_BLOCK_ROWS]
+            signals = np.stack([c[start:start + CSV_BLOCK_ROWS] for c in cols[1:]], axis=1)
+            t_lanes, t_keep = _TIME_G(t, seps[0])
+            lanes, keep = _SIGNAL_G(signals.ravel(), np.tile(seps[1:], len(t)))
+            lanes = np.concatenate((t_lanes, lanes.reshape(len(t), -1)), axis=1)
+            keep = np.concatenate((t_keep, keep.reshape(len(t), -1)), axis=1)
+            fh.write(lanes[keep].tobytes())

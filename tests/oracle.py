@@ -25,6 +25,8 @@ and one scalar state at a time, exactly as the paper states them.
 * ``ideal_global_deviation_tf`` -- the ideal-coupling deviation TF with its
   pooled stiffness built afresh for every channel, the reference for the
   library's shared one.
+* ``write_trace_csv_rows`` -- the trace CSV written one row at a time by
+  Python's ``%``, the reference for the library's array formatter.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from hmg.lti import (
     tf_series,
     tf_to_statespace,
 )
+from hmg.sim import TRACE_COLUMNS
 from hmg.subgrid import AC, DC, DS, SubgridSpec, build_open_loop_tf, hess_split
 
 
@@ -324,3 +327,13 @@ def ilc_step(
                 tf_to_statespace(concatenator_tf(cspec, channel)), h)
             setattr(out, name, float(m[0, 0] * getattr(state, name) + n[0] * u))
     return out
+
+
+def write_trace_csv_rows(trace, path) -> None:
+    """The trace CSV with every row formatted by ``%``: `t_s` as "%.10g",
+    every other column as "%.6g"."""
+    row = "%.10g" + ",%.6g" * (len(TRACE_COLUMNS) - 1) + "\n"
+    cols = [trace.column(c).tolist() for c in TRACE_COLUMNS]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        fh.writelines(row % values for values in zip(*cols))
