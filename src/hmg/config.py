@@ -52,7 +52,8 @@ class Event:
 
 @dataclass(frozen=True)
 class HybridConfig:
-    """Three subgrid specs plus converter and simulation settings."""
+    """Three subgrid specs, converter settings, and the run settings that
+    `LoadedRun.scenario()` copies into the Scenario, which checks them."""
 
     ac: SubgridSpec
     dc: SubgridSpec
@@ -84,12 +85,6 @@ class HybridConfig:
         for spec in self.specs:
             spec.validate()
         self.ilc.validate()
-        if self.step_s <= 0.0:
-            raise ConfigError("sim.step must be > 0")
-        if self.horizon_s <= 0.0:
-            raise ConfigError("sim.horizon must be > 0")
-        if self.output_every < 1:
-            raise ConfigError("sim.output_every must be >= 1")
         if self.omega_0 <= 0.0:
             raise ConfigError("ilc.omega_0 must be > 0")
         if check_cutoff and not self.cutoff_bound_ok():
@@ -123,16 +118,16 @@ class Scenario:
 
     def validate(self) -> None:
         if self.step_s <= 0.0:
-            raise ConfigError("step must be > 0")
+            raise ConfigError("sim.step must be > 0")
         if self.horizon_s <= self.step_s:
-            raise ConfigError("horizon must exceed the step")
+            raise ConfigError("sim.horizon must exceed sim.step")
         if self.output_every < 1:
-            raise ConfigError("output_every must be >= 1")
+            raise ConfigError("sim.output_every must be >= 1")
         times = [e.time_s for e in self.events]
         if any(b < a for a, b in zip(times, times[1:])):
             raise ConfigError("events must be sorted by time")
         if any(t < 0.0 or t > self.horizon_s for t in times):
-            raise ConfigError("event times must lie within [0, horizon]")
+            raise ConfigError("event times must lie within [0, sim.horizon]")
         last = self.horizon_s / self.step_s
         if not math.isfinite(last):
             raise ConfigError(f"horizon {self.horizon_s:g} s at step {self.step_s:g} s "
@@ -321,7 +316,7 @@ def parse_config(text: str, check_cutoff: bool = True) -> LoadedRun:
                   for kind, default in zip(KINDS, Scenario.initial_loads_w))
     run = LoadedRun(config=cfg, toggles=Toggles(**values["toggles"]),
                     events=tuple(events), initial_loads_w=loads)
-    run.scenario()  # validates event ordering against the horizon
+    run.scenario()  # validates the run settings and the events
     return run
 
 

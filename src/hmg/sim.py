@@ -538,19 +538,19 @@ def compare_with_gecm(
     """
     if not scenario.events:
         raise SimError("cross-validation needs at least one event")
+    trace = run(scenario, config)  # validates the run settings
     h = scenario.step_s
     every = scenario.output_every
     dt = h * every
     t0 = scenario.events[0].time_s
     i0 = scenario.step_of(t0) // every
     n = int(round(XCHECK_WINDOW_S / dt))
-    missing = (i0 + n - int(round(scenario.horizon_s / h)) // every) * dt
+    missing = (i0 + n - (len(trace.t) - 1)) * dt
     if missing > 0:
         raise SimError(
             f"cross-check window of {XCHECK_WINDOW_S:g} s after t={t0:g} s ends "
             f"{missing:g} s past the {scenario.horizon_s:g} s horizon"
         )
-    trace = run(scenario, config)
     model_cfg = config if gecm_config is None else gecm_config
     sys_ = build_gecm(*model_cfg.specs, *model_cfg.coupling(scenario.toggles),
                       scenario.first_group_w())

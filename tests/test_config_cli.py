@@ -3,6 +3,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hmg.cli import main
@@ -119,8 +120,35 @@ def test_non_finite_numbers_rejected(tmp_path, table1_text, caplog, old, new,
 
 
 def test_zero_horizon_rejected(table1_text):
-    with pytest.raises(ConfigError, match="horizon"):
+    with pytest.raises(ConfigError, match=r"sim\.horizon must exceed sim\.step"):
         parse_config(table1_text.replace("horizon = 40", "horizon = 0"))
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("step = 1e-4", "step = 0", "sim.step must be > 0"),
+    ("horizon = 40", "horizon = 1e-4", "sim.horizon must exceed sim.step"),
+    ("output_every = 100", "output_every = 0", "sim.output_every must be >= 1"),
+], ids=["step", "horizon", "output_every"])
+def test_cli_run_settings_exit2_naming_the_key(tmp_path, table1_text, caplog,
+                                               old, new, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(table1_text.replace(old, new))
+    assert main(["predict", "--config", str(path)]) == 2
+    assert message in caplog.text
+
+
+def test_output_every_one_records_every_step(tmp_path, table1_text, capsys):
+    text = table1_text.replace("output_every = 100", "output_every = 1")
+    assert parse_config(text).scenario().output_every == 1
+    path = tmp_path / "cfg.txt"
+    path.write_text(text.replace("horizon = 40", "horizon = 1.5")
+                    .replace("e4 = 20.0 ac 6e3", ""))
+    out_dir = tmp_path / "o"
+    assert main(["simulate", "--config", str(path), "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    t = np.loadtxt(out_dir / "trace.csv", delimiter=",", skiprows=1, usecols=0)
+    assert len(t) == 15_001
+    assert np.diff(t) == pytest.approx(np.full(15_000, 1e-4), rel=1e-6)
 
 
 def test_malformed_line_reports_position(table1_text):

@@ -183,7 +183,7 @@ def test_f_closed_matches_its_formula():
     function built from the solution's characteristic polynomials, which
     holds it to 1e-3 here; a 1e-9 match needs a pointwise `bode_export`,
     which waits for the benchmark harness to stop passing `bode_export` a
-    RationalTF (ROADMAP item 2).
+    RationalTF (ROADMAP item 1, Stage B).
     """
     loaded = load_config(TABLE1)
     cfg = loaded.config
@@ -394,6 +394,14 @@ def test_predict_steady_shares(specs):
     assert sum(shares) == pytest.approx(33.3e3, abs=1e-9)
 
 
+@pytest.mark.parametrize("predict", [predict_rates, predict_steady_shares])
+def test_predictions_accept_a_load_up_to_the_total_capacity(specs, predict):
+    p_g = sum(spec.p_max_w for spec in specs)
+    predict(specs, p_g)
+    with pytest.raises(GecmError, match="exceeds total capacity"):
+        predict(specs, np.nextafter(p_g, np.inf))
+
+
 def test_objective1_only_ratio(specs):
     assert objective1_only_ratio(specs) == pytest.approx((25.5, 38.0, 35.5), rel=1e-12)
     same_band = (make_ac(), make_dc(x_max=380.0, x_min=380.0 * 49 / 51,
@@ -560,6 +568,10 @@ def test_bode_grid_validation():
         bode_export(tf([1], [1, 1]), [1.0, 0.5])
     with pytest.raises(GecmError):
         bode_export(tf([1], [1, 1]), [-1.0, 1.0])
+    with pytest.raises(GecmError, match="positive"):
+        bode_export(tf([1], [1, 1]), [0.0, 1.0])
+    with pytest.raises(GecmError, match="strictly ascending"):
+        bode_export(tf([1], [1, 1]), [1.0, 1.0])
     assert bode_export(tf([1], [1, 1]), []) == []
     grid = default_bode_grid()
     assert len(grid) == 300 and grid[0] == pytest.approx(1e-4)

@@ -44,8 +44,16 @@ def ref_trace(cfg):
 def test_scenario_validation():
     from hmg.config import ConfigError
 
-    with pytest.raises(ConfigError):
-        Scenario(horizon_s=10.0, step_s=-1.0).validate()
+    for settings, message in ((dict(step_s=-1.0), r"sim\.step must be > 0"),
+                              (dict(step_s=0.0), r"sim\.step must be > 0"),
+                              (dict(output_every=0),
+                               r"sim\.output_every must be >= 1")):
+        with pytest.raises(ConfigError, match=message):
+            Scenario(horizon_s=10.0, **settings).validate()
+    # the horizon must exceed the step: equal is rejected, one ulp more is not
+    with pytest.raises(ConfigError, match=r"sim\.horizon must exceed sim\.step"):
+        Scenario(horizon_s=1e-4, step_s=1e-4).validate()
+    Scenario(horizon_s=np.nextafter(1e-4, 1.0), step_s=1e-4).validate()
     with pytest.raises(ConfigError):
         Scenario(horizon_s=10.0, events=(Event(5.0, "ac", 1e3),
                                          Event(1.0, "dc", 1e3))).validate()
@@ -58,6 +66,15 @@ def test_scenario_validation():
                        r"step at t=0\.5 s"):
         Scenario(horizon_s=0.50005, step_s=1e-4,
                  events=(Event(0.50004, "ac", 1e3),)).validate()
+
+
+def test_reference_config_run_settings_checked_by_its_scenario():
+    from hmg.config import ConfigError, reference_run
+
+    loaded = reference_run(step_s=0.0)
+    assert loaded.config.step_s == 0.0
+    with pytest.raises(ConfigError, match=r"sim\.step must be > 0"):
+        loaded.scenario()
 
 
 def test_first_group_is_the_first_events_step():
@@ -763,6 +780,20 @@ def test_gecm_window_past_horizon_rejected(cfg):
     # the 10 s window after the 1 s event needs an 11 s horizon
     sc = Scenario(horizon_s=10.0, step_s=1e-4, events=REF_EVENTS)
     with pytest.raises(SimError, match="1 s past the 10 s horizon"):
+        compare_with_gecm(sc, cfg)
+
+
+@pytest.mark.parametrize("settings, message", [
+    (dict(step_s=0.0), r"sim\.step must be > 0"),
+    (dict(output_every=0), r"sim\.output_every must be >= 1"),
+], ids=["zero_step", "zero_output_every"])
+def test_gecm_checks_the_run_settings_first(cfg, settings, message):
+    # the cross-check window is derived from the step and the sample
+    # interval, so a zero in either is a settings fault, not a division
+    from hmg.config import ConfigError
+
+    sc = Scenario(horizon_s=12.0, events=REF_EVENTS, **settings)
+    with pytest.raises(ConfigError, match=message):
         compare_with_gecm(sc, cfg)
 
 
