@@ -258,7 +258,8 @@ def parse_config(text: str, check_cutoff: bool = True) -> LoadedRun:
     """Parse and validate the sectioned key-value format.
 
     Unknown sections/keys and missing required keys are errors naming the
-    offender. check_cutoff=False defers the concatenator resolution bound
+    offender, and so are initial loads that together exceed the total
+    capacity. check_cutoff=False defers the concatenator resolution bound
     (the design report wants to load such a file and explain the violation).
     """
     parser = configparser.ConfigParser(
@@ -314,6 +315,10 @@ def parse_config(text: str, check_cutoff: bool = True) -> LoadedRun:
 
     loads = tuple(values["load"].get(kind, default)
                   for kind, default in zip(KINDS, Scenario.initial_loads_w))
+    if sum(loads) > cfg.p_gmax_w:
+        raise ConfigError(
+            f"sim.initial_load_ac + sim.initial_load_dc + sim.initial_load_ds = "
+            f"{sum(loads):.15g} W exceeds the total capacity {cfg.p_gmax_w:.15g} W")
     run = LoadedRun(config=cfg, toggles=Toggles(**values["toggles"]),
                     events=tuple(events), initial_loads_w=loads)
     run.scenario()  # validates the run settings and the events

@@ -46,12 +46,13 @@ from .lti import (
     tf,
     tf_add,
     tf_eval,
+    tf_eval_many,
     tf_reciprocal,
     tf_scale,
     tf_series,
     tf_to_statespace,
 )
-from .subgrid import AC, DC, DS, KINDS, SubgridSpec, build_open_loop_tf
+from .subgrid import AC, DC, DS, KINDS, SubgridSpec, open_loop_tfs
 
 RESIDUAL_TOL = 1e-6
 
@@ -179,14 +180,13 @@ def build_branch_impedances(
     Z_x is positive: deviation = -Z_x * output power (global p.u.); scaling
     each branch by P_gmax/P_x_max in the numerator is the base change.
     """
-    p_g = global_capacity((ac, dc, ds))
-    out = []
-    for spec in (ac, dc, ds):
-        n_x0 = build_open_loop_tf(spec)
-        out.append(tf_scale(n_x0, -p_g / spec.p_max_w))
-    return tuple(out)
+    specs = (ac, dc, ds)
+    p_g = global_capacity(specs)
+    return tuple(tf_scale(n_x0, -p_g / spec.p_max_w)
+                 for spec, n_x0 in zip(specs, open_loop_tfs(specs)))
 
 
+@lru_cache(maxsize=1)
 def build_gecm(
     ac: SubgridSpec,
     dc: SubgridSpec,
@@ -196,7 +196,12 @@ def build_gecm(
     loads_w: tuple[float, float, float],
 ) -> GecmSystem:
     """Assemble the full circuit model; ilc None means no converter, cspec
-    None unity concatenators."""
+    None unity concatenators.
+
+    The system last built is kept and returned again for equal arguments: a
+    design study cross-checks a configuration and then analyses the same
+    circuit. Its transfer functions are immutable, so sharing it is safe.
+    """
     z_ac, z_dc, z_ds = build_branch_impedances(ac, dc, ds)
     t_ac, t_dc, t_ds = (_concatenator(cspec, kind) for kind in KINDS)
     z1, z2 = (None, None) if ilc is None else ilc_equivalent_impedances(ilc)
@@ -285,13 +290,15 @@ def _back_substitution_residual(sys: GecmSystem, sol: NodalSolution) -> float:
 
 def _admittance(sys: GecmSystem, s: np.ndarray) -> np.ndarray:
     """G at every point of s, shape (3, 3, len(s)), in KINDS order, from one
-    evaluation of each branch 1/Z_x, T_x and 1/Z_ILCn over all the points."""
-    y_ac, y_dc, y_ds = (tf_eval(tf_reciprocal(z), s)
-                        for z in (sys.z_ac, sys.z_dc, sys.z_ds))
-    t_ac = t_dc = t_ds = g1 = g2 = zero = np.zeros(len(s))
+    stacked evaluation of the branches 1/Z_x, T_x and 1/Z_ILCn over all the
+    points."""
+    branches = [tf_reciprocal(z) for z in (sys.z_ac, sys.z_dc, sys.z_ds)]
     if sys.z_ilc1 is not None:
-        t_ac, t_dc, t_ds = (tf_eval(t, s) for t in (sys.t_ac, sys.t_dc, sys.t_ds))
-        g1, g2 = (tf_eval(tf_reciprocal(z), s) for z in (sys.z_ilc1, sys.z_ilc2))
+        branches += [sys.t_ac, sys.t_dc, sys.t_ds,
+                     tf_reciprocal(sys.z_ilc1), tf_reciprocal(sys.z_ilc2)]
+    y_ac, y_dc, y_ds, *coupling = tf_eval_many(branches, s)
+    zero = np.zeros(len(s))
+    t_ac, t_dc, t_ds, g1, g2 = coupling or [zero] * 5
     return np.array([[y_ac + t_ac * g2, zero, -t_ds * g2],
                      [zero, y_dc + t_dc * g1, -t_ds * g1],
                      [-t_ac * g2, -t_dc * g1, y_ds + t_ds * (g1 + g2)]])
@@ -373,8 +380,8 @@ def _pooled_stiffness(
     configuration: the last (specs, cspec) is kept."""
     p_g = global_capacity(specs)
     q = tf([0.0], [1.0])
-    for spec in specs:
-        b_y = tf_scale(tf_reciprocal(build_open_loop_tf(spec)), -1.0)
+    for spec, n_y0 in zip(specs, open_loop_tfs(specs)):
+        b_y = tf_scale(tf_reciprocal(n_y0), -1.0)
         weighted = tf_scale(b_y, spec.p_max_w / p_g)
         t_y = _concatenator(cspec, spec.kind)
         q = tf_add(q, tf_series(weighted, tf_reciprocal(t_y)))

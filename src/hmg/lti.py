@@ -9,6 +9,8 @@ primitives in this module:
 * ``RationalTF`` -- ratio of two polynomials, denominator kept monic.
 * ``StateSpace`` -- controllable-canonical realization of a proper
   ``RationalTF``.
+* ``tf_eval_many`` -- many rational functions evaluated over many points in
+  one Horner pass; ``tf_eval`` is its one-function case.
 * ``rk4_step_maps`` -- the linear one-step map x+ = M x + N u of classical
   4th-order Runge-Kutta with the input held constant over the step.
 * ``Blocks`` -- one layout, output rule and stamping pass for a keyed
@@ -129,7 +131,7 @@ def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     """Coefficient convolution, trimmed."""
     if a.is_zero or b.is_zero:
         return poly(0.0)
-    return Polynomial(tuple(np.convolve(a.coeffs, b.coeffs)))
+    return Polynomial(tuple(np.convolve(a.coeffs, b.coeffs).tolist()))
 
 
 @dataclass(frozen=True)
@@ -144,8 +146,9 @@ class RationalTF:
             raise ValueError("zero denominator")
         lead = self.den.coeffs[-1]
         if lead != 1.0:
-            object.__setattr__(self, "num", self.num.scaled(1.0 / lead))
-            object.__setattr__(self, "den", self.den.scaled(1.0 / lead))
+            k = 1.0 / lead
+            object.__setattr__(self, "num", self.num.scaled(k))
+            object.__setattr__(self, "den", self.den.scaled(k))
 
     @property
     def relative_degree(self) -> int:
@@ -183,7 +186,8 @@ def tf_reciprocal(a: RationalTF) -> RationalTF:
 
 
 def tf_eval(f: RationalTF, s):
-    """Evaluate num(s)/den(s) by Horner's rule, elementwise over an array of s.
+    """Evaluate num(s)/den(s) by Horner's rule, elementwise over an array of s:
+    the one-function case of `tf_eval_many`.
 
     A scalar s gives a Python complex; an array gives a complex array of
     its shape.
@@ -195,18 +199,49 @@ def tf_eval(f: RationalTF, s):
         any point, i.e. that point is numerically indistinguishable from a
         pole. The message names the first such point.
     """
+    val = tf_eval_many((f,), s)[0]
+    return complex(val) if val.ndim == 0 else val
+
+
+def tf_eval_many(fs, s) -> np.ndarray:
+    """Evaluate every num(s)/den(s) of fs, elementwise over an array of s;
+    row i of the result, shape (len(fs),) + shape(s), is fs[i].
+
+    All numerators and denominators are stacked into one coefficient table,
+    padded with leading zeros (which leave Horner's rule exact), so each
+    power is one array operation for every function. Each value is bitwise
+    the `f.num(s) / f.den(s)` of its own function.
+
+    Raises
+    ------
+    EvalAtPole
+        `tf_eval`'s pole test, applied to each function in order; the
+        message names the first point of the first function that fails it.
+    """
     s = np.asarray(s, dtype=complex)
-    den_val = f.den(s)
-    # rounding scale of the Horner evaluation at |s|
-    mag = np.abs(s)
-    scale = 0.0
-    for c in reversed(f.den.coeffs):
-        scale = scale * mag + abs(c)
+    polys = [f.num for f in fs] + [f.den for f in fs]
+    width = max(len(p.coeffs) for p in polys)
+    table = np.array([(0.0,) * (width - len(p.coeffs)) + p.coeffs[::-1]
+                      for p in polys])
+    vals = _horner(table, s)
+    num_val, den_val = vals[:len(fs)], vals[len(fs):]
+    # rounding scale of each denominator's Horner evaluation at |s|
+    scale = _horner(np.abs(table[len(fs):]), np.abs(s))
     at_pole = np.abs(den_val) < POLE_REL * np.maximum(scale, 1e-300)
     if at_pole.any():
-        raise EvalAtPole(f"denominator vanishes at s={complex(s[at_pole][0])}")
-    val = f.num(s) / den_val
-    return complex(val) if s.ndim == 0 else val
+        point = np.flatnonzero(at_pole)[0] % s.size
+        raise EvalAtPole(f"denominator vanishes at s={complex(s.ravel()[point])}")
+    return num_val / den_val
+
+
+def _horner(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each row of `table` (coefficients, highest power first) evaluated at
+    every x by Horner's rule, shape (len(table),) + x.shape."""
+    cols = table.T.reshape(table.shape[1], len(table), *(1,) * x.ndim)
+    acc = np.zeros(cols.shape[1:], dtype=x.dtype)
+    for c in cols:
+        acc = acc * x + c
+    return acc
 
 
 @dataclass(frozen=True)

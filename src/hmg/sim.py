@@ -42,7 +42,7 @@ from .config import Event, HybridConfig, Scenario, Toggles
 from .gecm import build_gecm, solve_nodal
 from .ilc import concatenator_tf
 from .lti import Blocks, StateSpace, rk4_step_maps, tf_to_statespace
-from .subgrid import KINDS, build_open_loop_tf, hess_split
+from .subgrid import KINDS, hess_split, open_loop_tfs
 
 __all__ = [
     "Event", "Scenario", "Toggles", "SimTrace", "Metrics", "GecmComparison",
@@ -172,8 +172,8 @@ class _Engine:
         p_l_tf, _ = hess_split(1.0, specs[2])  # designs y_l when absent
 
         # the LTI blocks, (group, i) -> StateSpace, in state order
-        lti = {(kind, 0): tf_to_statespace(build_open_loop_tf(s))
-               for kind, s in zip(KINDS, specs)}
+        lti = {(kind, 0): tf_to_statespace(n_x0)
+               for kind, n_x0 in zip(KINDS, open_loop_tfs(specs))}
         lti["split", 0] = tf_to_statespace(p_l_tf)
         if ilc is not None:
             if cspec is not None:

@@ -21,6 +21,7 @@ Sign conventions: deviations are measured from the maximum value
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .lti import (
     RationalTF,
@@ -179,6 +180,14 @@ def build_open_loop_tf(spec: SubgridSpec) -> RationalTF:
     r = spec.droop_r
     swing = tf([spec.damping_d * r, 2.0 * spec.inertia_h * r], [1.0])
     return tf_scale(tf_reciprocal(tf_add(swing, governor_turbine_tf(spec))), -r)
+
+
+@lru_cache(maxsize=1)
+def open_loop_tfs(specs: tuple[SubgridSpec, ...]) -> tuple[RationalTF, ...]:
+    """`build_open_loop_tf` of each spec. The models of the last specs are
+    kept: a design study's engine, circuit model and ideal-coupling analysis
+    all start from the same subgrid models."""
+    return tuple(map(build_open_loop_tf, specs))
 
 
 def steady_droop_gain_pu(spec: SubgridSpec) -> float:

@@ -558,6 +558,37 @@ def test_cli_inverted_limits_exit2(tmp_path, table1_text, caplog, old, new,
     assert message in caplog.text
 
 
+@pytest.mark.parametrize("command", ["simulate", "predict", "design", "bode"])
+def test_cli_initial_load_beyond_capacity_exit2(tmp_path, table1_text, caplog,
+                                                command):
+    # once simulate diverged at t = 0, predict named no key and design and
+    # bode accepted the file
+    text = table1_text.replace("initial_load_ac = 0", "initial_load_ac = 1e30")
+    assert text != table1_text
+    message = ("sim.initial_load_ac + sim.initial_load_dc + sim.initial_load_ds"
+               " = 1e+30 W exceeds the total capacity 60000 W")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(text)
+    path = tmp_path / "loaded.cfg"
+    path.write_text(text)
+    args = {"simulate": ["--out", str(tmp_path / "out")],
+            "predict": ["--out", str(tmp_path / "p.csv")],
+            "bode": ["f_closed", "--out", str(tmp_path / "b.csv")]}
+    assert main([command, *args.get(command, []), "--config", str(path)]) == 2
+    assert [r.getMessage() for r in caplog.records] == [message]
+    assert not any(tmp_path.glob("out")) and not any(tmp_path.glob("*.csv"))
+
+
+def test_initial_loads_at_capacity_accepted(table1_text):
+    text = table1_text.replace("initial_load_ac = 0", "initial_load_ac = 20e3")
+    text = text.replace("initial_load_dc = 0", "initial_load_dc = 20e3")
+    text = text.replace("initial_load_ds = 0", "initial_load_ds = 20e3")
+    assert parse_config(text).initial_loads_w == (20e3, 20e3, 20e3)
+    with pytest.raises(ConfigError, match="60000.000001 W exceeds"):
+        parse_config(text.replace("initial_load_ds = 20e3",
+                                  "initial_load_ds = 20000.000001"))
+
+
 def test_cli_simulate_trace_too_large_exit2(tmp_path, table1_text, caplog):
     path = tmp_path / "long.cfg"
     path.write_text(table1_text.replace("horizon = 40", "horizon = 1e30"))

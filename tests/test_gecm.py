@@ -30,7 +30,16 @@ from hmg.gecm import (
     solve_nodal,
 )
 from hmg.ilc import IlcSpec, design_omegas
-from hmg.lti import ivt_rate_limit, tf, tf_eval, tf_scale, tf_series
+from hmg.lti import (
+    EvalAtPole,
+    ivt_rate_limit,
+    tf,
+    tf_eval,
+    tf_eval_many,
+    tf_reciprocal,
+    tf_scale,
+    tf_series,
+)
 from hmg.sim import _Engine
 from hmg.subgrid import build_open_loop_tf, steady_droop_gain_pu
 
@@ -279,6 +288,64 @@ def test_residual_matches_point_loop_admissible_pool_unequal_gains(monkeypatch):
         sol = solve_nodal(sys_)
         want = oracle.back_substitution_residual(sys_, sol)
         assert abs(sol.residual - want) <= 64 * np.finfo(float).eps
+
+
+def _branches(sys_):
+    """The branch functions the residual gate evaluates, in its order."""
+    fs = [tf_reciprocal(z) for z in (sys_.z_ac, sys_.z_dc, sys_.z_ds)]
+    if sys_.z_ilc1 is not None:
+        fs += [sys_.t_ac, sys_.t_dc, sys_.t_ds,
+               tf_reciprocal(sys_.z_ilc1), tf_reciprocal(sys_.z_ilc2)]
+    return fs
+
+
+def _branch_sets(monkeypatch):
+    """Branches of table1 under all 8 Toggles, then of pool config 0."""
+    loaded = load_config(TABLE1)
+    for toggles in itertools.product((True, False), repeat=3):
+        cfg, sc = loaded.config, replace(loaded.scenario(),
+                                         toggles=Toggles(*toggles))
+        yield _branches(build_gecm(*cfg.specs, *cfg.coupling(sc.toggles),
+                                   sc.first_group_w()))
+    monkeypatch.syspath_prepend(str(TABLE1.parents[1] / "perfbench"))
+    import generators
+
+    pool0 = generators.admissible_pool(1, 48)[0]
+    cfg = pool0.config
+    yield _branches(build_gecm(*cfg.specs, cfg.ilc, cfg.concatenator_spec(),
+                               pool0.scenario().first_group_w()))
+
+
+@pytest.mark.parametrize("points", ["residual", "bode"])
+def test_stacked_evaluation_is_bitwise_each_functions_own(points, monkeypatch):
+    s = np.array(RESIDUAL_POINTS) if points == "residual" else 1j * default_bode_grid()
+    for fs in _branch_sets(monkeypatch):
+        got = tf_eval_many(fs, s)
+        assert got.shape == (len(fs), len(s))
+        for row, f in zip(got, fs):
+            assert row.tobytes() == (f.num(s) / f.den(s)).tobytes()
+
+
+def test_stacked_evaluation_names_the_first_sequential_pole():
+    # poles at -1 (f2) and -2 (f1): the point list meets -1 first, but f1
+    # comes first, so its pole at -2 is the one named, as tf_eval f by f
+    fs = [tf([1.0], [1.0, 1.0, 1.0]), tf([1.0], [2.0, 1.0]), tf([1.0], [1.0, 1.0])]
+    s = np.array([1j, -1.0, 3j, -2.0])
+    with pytest.raises(EvalAtPole) as first:
+        for f in fs:
+            tf_eval(f, s)
+    with pytest.raises(EvalAtPole) as stacked:
+        tf_eval_many(fs, s)
+    assert str(stacked.value) == str(first.value) == "denominator vanishes at s=(-2+0j)"
+
+
+def test_stacked_evaluation_at_a_scalar():
+    fs = [tf([1.0], [1.0, 1.0]), tf([2.0, 1.0], [3.0, 1.0])]
+    got = tf_eval_many(fs, 0.5j)
+    assert got.shape == (2,) and got.dtype == complex
+    for val, f in zip(got, fs):
+        assert type(tf_eval(f, 0.5j)) is complex
+        assert tf_eval(f, 0.5j) == val
 
 
 @pytest.mark.parametrize("error", ["T_dc_T_ds_swapped", "Z_ILC1_doubled",

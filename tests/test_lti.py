@@ -12,6 +12,7 @@ from hmg.lti import (
     EvalAtPole,
     FvtInvalid,
     ImproperTF,
+    POLE_REL,
     Polynomial,
     Unbounded,
     fvt_limit,
@@ -147,6 +148,16 @@ def test_eval_at_pole_raises():
         tf_eval(tf([1], [1, 1]), -1.0)
     with pytest.raises(EvalAtPole):
         tf_eval(tf([1], [0, 1]), 0.0)
+
+
+def test_eval_pole_test_is_strict():
+    # at s = 1 + jy, den = s - 1 is exactly jy and its rounding scale is
+    # |s| + 1 = 2: a |den| equal to POLE_REL * 2 is not a pole, below it is
+    f = tf([1.0], [-1.0, 1.0])
+    at = 1.0 + 1j * (POLE_REL * 2.0)
+    assert tf_eval(f, at) == 1.0 / (at - 1.0)
+    with pytest.raises(EvalAtPole):
+        tf_eval(f, 1.0 + 1j * np.nextafter(POLE_REL * 2.0, 0.0))
 
 
 def test_eval_scalar_returns_complex():

@@ -1,10 +1,12 @@
-"""Reuse of the trace, the nodal solution and the pooled stiffness.
+"""Reuse of the trace, the subgrid models, the circuit system, the nodal
+solution and the pooled stiffness.
 
 Each is kept for the last inputs only (`functools.lru_cache(maxsize=1)`):
 a design study runs, cross-checks and analyses one configuration, and the
 later steps reuse what the earlier ones built, so the cross-check's `run`
-returns the trace the study's own run checked, and the engine is assembled
-once. Two configurations never share an entry, a reused result is bitwise
+returns the trace the study's own run checked, the engine is assembled
+once, and each subgrid model and the circuit system are built once.
+Two configurations never share an entry, a reused result is bitwise
 the result of a fresh build, shared arrays are read-only and a shared
 trace's fields cannot be rebound, a run or solve that raised is not kept,
 and a run that is not a memo hit makes all its checks again.
@@ -17,10 +19,11 @@ import numpy as np
 import pytest
 
 from conftest import library_memos
-from hmg import gecm, sim
+from hmg import gecm, sim, subgrid
 from hmg.config import Event, load_config
 from hmg.gecm import GecmError, build_gecm, solve_nodal
-from hmg.lti import tf
+from hmg.lti import RationalTF, tf
+from hmg.subgrid import KINDS, open_loop_tfs
 from hmg.sim import TRACE_COLUMNS, NumericalDivergence, compare_with_gecm, run
 
 REPO = Path(__file__).resolve().parents[1]
@@ -54,6 +57,10 @@ def _bits(*arrays):
     return [(a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, arrays)]
 
 
+def _tf_bits(*fs):
+    return _bits(*(c for f in fs for c in (f.num.coeffs, f.den.coeffs)))
+
+
 # memo, its arguments for one (config, scenario), its result as raw bytes
 MEMOS = {
     "run": (
@@ -61,6 +68,18 @@ MEMOS = {
         lambda cfg, sc: (sc, cfg),
         lambda tr: (_bits(*map(tr.column, TRACE_COLUMNS), tr.loads_w),
                     tr.bases, tr.capacities),
+    ),
+    "open-loop models": (
+        open_loop_tfs,
+        lambda cfg, sc: (cfg.specs,),
+        lambda fs: _tf_bits(*fs),
+    ),
+    "circuit system": (
+        build_gecm,
+        lambda cfg, sc: (*cfg.specs, cfg.ilc, cfg.concatenator_spec(),
+                         sc.first_group_w()),
+        lambda sys_: [_tf_bits(v) if isinstance(v, RationalTF) else _bits(v)
+                      for v in vars(sys_).values()],
     ),
     "nodal solve": (
         solve_nodal,
@@ -70,7 +89,7 @@ MEMOS = {
     "pooled stiffness": (
         gecm._pooled_stiffness,
         lambda cfg, sc: (cfg.specs, cfg.concatenator_spec()),
-        lambda q: _bits(q.num.coeffs, q.den.coeffs),
+        lambda q: _tf_bits(q),
     ),
 }
 
@@ -133,6 +152,29 @@ def test_ideal_channels_share_one_pooled_stiffness(table1):
         gecm.ideal_global_deviation_tf(list(cfg.specs), cfg.concatenator_spec(),
                                        kind)
     assert _hits_misses(gecm._pooled_stiffness) == (2, 1)
+
+
+def test_design_study_builds_each_model_once(table1, monkeypatch):
+    # run, cross-check, then the circuit analysis of the same configuration:
+    # each subgrid model is built once and the circuit system once
+    cfg, sc = table1
+    built = []
+
+    def counting(spec):
+        built.append(spec)
+        return build_open_loop_tf(spec)
+
+    build_open_loop_tf = subgrid.build_open_loop_tf
+    monkeypatch.setattr(subgrid, "build_open_loop_tf", counting)
+    run(sc, cfg)
+    compare_with_gecm(sc, cfg)
+    solve_nodal(_system(cfg, sc))
+    for kind in KINDS:
+        gecm.ideal_global_deviation_tf(cfg.specs, cfg.concatenator_spec(), kind)
+    assert built == list(cfg.specs)
+    assert _hits_misses(open_loop_tfs) == (2, 1)
+    assert _hits_misses(build_gecm) == (1, 1)
+    assert _hits_misses(solve_nodal) == (1, 1)
 
 
 def test_failed_solve_is_not_kept(table1):
