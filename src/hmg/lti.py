@@ -236,12 +236,18 @@ def tf_eval_many(fs, s) -> np.ndarray:
 
 def _horner(table: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Each row of `table` (coefficients, highest power first) evaluated at
-    every x by Horner's rule, shape (len(table),) + x.shape."""
-    cols = table.T.reshape(table.shape[1], len(table), *(1,) * x.ndim)
-    acc = np.zeros(cols.shape[1:], dtype=x.dtype)
-    for c in cols:
-        acc = acc * x + c
-    return acc
+    every x by Horner's rule, shape (len(table),) + x.shape.
+
+    The rows run side by side in one flat accumulator, and each power's
+    coefficients are laid out flat in x's dtype beside it, so every step
+    is two in-place operations on contiguous arrays of one type.
+    """
+    xs = np.tile(x.ravel(), len(table))
+    acc = np.zeros_like(xs)
+    for c in np.repeat(table.T.astype(x.dtype), x.size, axis=1):
+        acc *= xs
+        acc += c
+    return acc.reshape(table.shape[:1] + x.shape)
 
 
 @dataclass(frozen=True)
